@@ -349,14 +349,7 @@ int main(int argc, char** argv) {
       for (;;) {
         const size_t rows = source.NextChunk(&buffer).value();
         if (rows == 0) break;
-        moments.AccumulateMeans(buffer, rows);
-      }
-      moments.FinalizeMeans();
-      (void)source.Reset();
-      for (;;) {
-        const size_t rows = source.NextChunk(&buffer).value();
-        if (rows == 0) break;
-        moments.AccumulateScatter(buffer, rows);
+        moments.Accumulate(buffer, rows);
       }
       cov_stream = moments.FinalizeCovariance();
     });

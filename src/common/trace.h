@@ -3,7 +3,7 @@
 // abstraction every timing primitive in the repo (Stopwatch included)
 // reads.
 //
-// A TraceSpan brackets one stage of work ("attack.pass1_means", one
+// A TraceSpan brackets one stage of work ("attack.pass1_scatter", one
 // pipeline job, one recovery pass). Construction stamps the start,
 // destruction the duration — so early `Status` returns and exceptions
 // close spans correctly by scope exit. Nesting is tracked with a
@@ -95,7 +95,7 @@ void StartTracing();
 std::vector<Span> StopTracing();
 
 /// `spans` rendered as a JSON array (docs/REPORT_SCHEMA.md "spans"):
-///   [{"name":"attack.pass1_means","start_ns":0,"duration_ns":5,
+///   [{"name":"attack.pass1_scatter","start_ns":0,"duration_ns":5,
 ///     "parent":-1,"thread":0}, ...]
 std::string SpanTreeJson(const std::vector<Span>& spans);
 

@@ -45,9 +45,10 @@ void MatMulABt(const double* a, const double* b, double* c, size_t m, size_t k,
 
 /// Fixed record-chunk size of GramAtA's accumulation order. Chunk
 /// boundaries always fall at record indices that are multiples of this
-/// constant, so an out-of-core accumulator that flushes kGramChunkRows
-/// records at a time (stats::StreamingMoments) reproduces the in-memory
-/// Gram matrix bitwise.
+/// constant. It is also the block size of stats::StreamingMoments, which
+/// centers each kGramChunkRows-record block on its own mean and merges
+/// the block moments in record order; stats::SampleCovariance runs that
+/// same accumulator, so streamed and in-memory covariances agree bitwise.
 constexpr size_t kGramChunkRows = 4096;
 
 /// partial(m x m) = a(rows x m)ᵀ · a(rows x m) for ONE record chunk:

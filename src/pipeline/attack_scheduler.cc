@@ -88,6 +88,16 @@ bool ParseReportVersion(const std::string& name, uint64_t* version) {
   return *version > 0;
 }
 
+/// The (relative path, seal digest) identities of `shards`.
+std::set<std::pair<std::string, uint64_t>> ShardKeysOf(
+    const std::vector<data::ShardManifestEntry>& shards) {
+  std::set<std::pair<std::string, uint64_t>> keys;
+  for (const data::ShardManifestEntry& shard : shards) {
+    keys.emplace(shard.relative_path, shard.seal_digest);
+  }
+  return keys;
+}
+
 /// Recovers the previous report's snapshot identity from its own JSON
 /// (the report_series block this scheduler wrote), so row-delta
 /// chaining stays exact across restarts. Substring scanning is safe
@@ -238,17 +248,21 @@ SchedulerCycleResult AttackScheduler::Tick() {
     due = true;
   }
   if (!due && options_.min_new_rows > 0) {
-    // Cheap trigger probe: parse the manifest, pin nothing. Signed
-    // delta — retention can shrink the published window, which never
-    // fires the growth trigger.
+    // Cheap trigger probe: parse the manifest, pin nothing. Counts the
+    // rows of shards the last report did not attack rather than the
+    // growth of the row total, which a saturated retention window (each
+    // rotation retires as many rows as it adds) holds at zero.
     Result<data::ShardManifest> parsed =
         data::ReadShardManifest(manifest_path_);
     if (parsed.ok()) {
-      const int64_t delta =
-          static_cast<int64_t>(parsed.value().num_records) -
-          static_cast<int64_t>(last_report_rows_);
-      if (!have_last_report_ ||
-          delta >= static_cast<int64_t>(options_.min_new_rows)) {
+      uint64_t new_rows = 0;
+      for (const data::ShardManifestEntry& shard : parsed.value().shards) {
+        if (last_report_shards_.count({shard.relative_path,
+                                       shard.seal_digest}) == 0) {
+          new_rows += shard.row_count;
+        }
+      }
+      if (!have_last_report_ || new_rows >= options_.min_new_rows) {
         due = true;
       }
     }
@@ -294,6 +308,9 @@ SchedulerCycleResult AttackScheduler::RunCycleLocked() {
   const data::ShardManifest& manifest = parsed.value();
   if (!options_.attack_unchanged && have_last_report_ &&
       manifest.manifest_hash == last_manifest_hash_) {
+    // Same hash, same shards: this is how a restarted scheduler learns
+    // the last report's shard set for the min_new_rows trigger.
+    last_report_shards_ = ShardKeysOf(manifest.shards);
     result.outcome = CycleOutcome::kSkippedUnchanged;
     ++skipped_unchanged_;
     m_skipped_unchanged.Add(1);
@@ -310,12 +327,13 @@ SchedulerCycleResult AttackScheduler::RunCycleLocked() {
     bool have = false;
     uint64_t manifest_hash = 0;
     uint64_t rows = 0;
-    size_t shards = 0;
+    std::vector<data::ShardManifestEntry> shards;
   };
   auto pinned = std::make_shared<PinnedIdentity>();
   result.manifest_hash = manifest.manifest_hash;
   result.snapshot_rows = manifest.num_records;
   result.snapshot_shards = manifest.shards.size();
+  ShardKeys snapshot_shards = ShardKeysOf(manifest.shards);
 
   PipelineJob job;
   job.name = manifest_path_;
@@ -335,7 +353,7 @@ SchedulerCycleResult AttackScheduler::RunCycleLocked() {
       pinned->have = true;
       pinned->manifest_hash = snapshot.manifest().manifest_hash;
       pinned->rows = snapshot.manifest().num_records;
-      pinned->shards = snapshot.manifest().shards.size();
+      pinned->shards = snapshot.manifest().shards;
     }
     return std::unique_ptr<RecordSource>(
         new SnapshotRecordSource(std::move(snapshot)));
@@ -351,7 +369,8 @@ SchedulerCycleResult AttackScheduler::RunCycleLocked() {
     if (pinned->have) {
       result.manifest_hash = pinned->manifest_hash;
       result.snapshot_rows = pinned->rows;
-      result.snapshot_shards = pinned->shards;
+      result.snapshot_shards = pinned->shards.size();
+      snapshot_shards = ShardKeysOf(pinned->shards);
     }
   }
 
@@ -392,7 +411,8 @@ SchedulerCycleResult AttackScheduler::RunCycleLocked() {
     result.rows_since_last_report =
         static_cast<int64_t>(result.snapshot_rows) -
         static_cast<int64_t>(last_report_rows_);
-    const Status published = PublishLocked(&result);
+    const Status published =
+        PublishLocked(&result, std::move(snapshot_shards));
     if (!published.ok()) {
       // The attack succeeded but nothing durable exists — that is a
       // failed cycle, and the version was not consumed.
@@ -425,7 +445,8 @@ SchedulerCycleResult AttackScheduler::RunCycleLocked() {
   return result;
 }
 
-Status AttackScheduler::PublishLocked(SchedulerCycleResult* result) {
+Status AttackScheduler::PublishLocked(SchedulerCycleResult* result,
+                                      ShardKeys snapshot_shards) {
   const uint64_t version = next_version_;
   const bool degraded = result->outcome == CycleOutcome::kDegraded;
   const std::string path =
@@ -534,6 +555,7 @@ Status AttackScheduler::PublishLocked(SchedulerCycleResult* result) {
   last_published_version_ = version;
   last_manifest_hash_ = result->manifest_hash;
   last_report_rows_ = result->snapshot_rows;
+  last_report_shards_ = std::move(snapshot_shards);
   have_last_report_ = true;
   ++reports_published_;
   m_reports_published.Add(1);

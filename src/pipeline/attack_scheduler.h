@@ -5,7 +5,8 @@
 // An IngestService (pipeline/ingest.h) keeps appending perturbed records
 // into a rolling sharded store, republishing its manifest after every
 // rotation. The scheduler closes the loop: on a configurable cadence
-// (and/or once the published manifest has grown by `min_new_rows`), it
+// (and/or once the published manifest holds `min_new_rows` rows in shards
+// the last report did not attack), it
 // pins a RollingStoreSnapshotReader snapshot of the latest published
 // manifest, re-runs the streaming SF / PCA-DR attack over it through the
 // existing PipelineRunner (inheriting retry, deadline and degraded-shard
@@ -58,6 +59,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -80,9 +82,11 @@ struct AttackSchedulerOptions {
   /// being served is counted under scheduler.overruns.
   uint64_t cadence_nanos = 0;
   /// Also fire once the PUBLISHED manifest holds at least this many
-  /// rows more than the last report attacked (0 = no rows trigger).
-  /// Evaluated against a cheap manifest parse — no snapshot is pinned
-  /// until the cycle actually runs.
+  /// rows in shards the last report's snapshot did not contain (0 = no
+  /// rows trigger) — so a saturated retention window, whose row count
+  /// no longer grows, still fires on every rotation. Evaluated against
+  /// a cheap manifest parse — no snapshot is pinned until the cycle
+  /// actually runs.
   uint64_t min_new_rows = 0;
   /// Re-attack a snapshot whose manifest hash equals the last report's
   /// (default: skip it, counted under scheduler.skipped_unchanged).
@@ -266,9 +270,14 @@ class AttackScheduler {
   /// (mutex_ held) into the status cache.
   void UpdateStatusLocked();
 
+  /// A shard's identity across manifests: (relative path, seal digest).
+  /// Row spans are not part of it — retention renumbers them.
+  using ShardKeys = std::set<std::pair<std::string, uint64_t>>;
+
   /// Builds and publishes report `next_version_` for an attacked
-  /// cycle; advances the series state on success.
-  Status PublishLocked(SchedulerCycleResult* result);
+  /// cycle; advances the series state (`snapshot_shards` included) on
+  /// success.
+  Status PublishLocked(SchedulerCycleResult* result, ShardKeys snapshot_shards);
 
   /// Rewrites latest.json to point at `version` (write-temp → rename).
   Status WriteLatestPointer(uint64_t version);
@@ -289,6 +298,9 @@ class AttackScheduler {
   uint64_t last_published_version_ = 0;
   uint64_t last_manifest_hash_ = 0;
   uint64_t last_report_rows_ = 0;
+  /// Shards of the last report's snapshot, for the min_new_rows trigger.
+  /// Empty after a restart until a cycle runs or skips as unchanged.
+  ShardKeys last_report_shards_;
   bool have_last_report_ = false;
   /// Versions whose report files exist (initial scan + publishes minus
   /// retirements) — the retention working set.

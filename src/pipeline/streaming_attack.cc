@@ -112,42 +112,40 @@ Result<StreamingAttackReport> StreamingAttackPipeline::Run(
 
   linalg::Matrix chunk(options_.chunk_rows, m);
 
-  // ---- Pass 1: moments (two sweeps) + one eigendecomposition. ---------
+  // ---- Pass 1: moments (one sweep) + one eigendecomposition. ---------
   // Store-backed sources expose zero-copy columnar block slices; the
-  // moment sweeps then run straight over the mapping, skipping the
-  // columnar→row-major gather entirely. The columnar accumulators are
-  // bitwise identical to the row-major ones (stats/streaming_moments.h),
+  // moment sweep then runs straight over the mapping, skipping the
+  // columnar→row-major gather entirely. The columnar accumulator is
+  // bitwise identical to the row-major one (stats/streaming_moments.h),
   // so which path runs never changes the covariance.
   m_attack_runs.Add(1);
   const uint64_t run_start_nanos = trace::NowNanos();
   stats::StreamingMoments moments(m, options_.parallel);
-  ColumnarBlockStream* columnar = disguised->columnar_blocks();
-  std::vector<const double*> block_columns;
   {
-    trace::TraceSpan means_span("attack.pass1_means");
+    // Stage breakdowns (perfbench's stats.pass1_scatter_s) key pass 1
+    // on this span name.
+    trace::TraceSpan scatter_span("attack.pass1_scatter");
+    ColumnarBlockStream* columnar = disguised->columnar_blocks();
+    std::vector<const double*> block_columns;
     if (columnar != nullptr) {
       RR_RETURN_NOT_OK(columnar->ResetBlocks());
-      for (;;) {
-        const uint64_t chunk_start = trace::NowNanos();
-        RR_ASSIGN_OR_RETURN(const size_t rows,
-                            columnar->NextBlockColumns(&block_columns));
-        if (rows == 0) break;
-        moments.AccumulateMeansColumns(block_columns.data(), rows);
-        m_pass1_chunk_nanos.Record(NanosSince(chunk_start));
-        m_chunks_pass1.Add(1);
-        m_records_pass1.Add(rows);
-      }
     } else {
       RR_RETURN_NOT_OK(disguised->Reset());
-      for (;;) {
-        const uint64_t chunk_start = trace::NowNanos();
-        RR_ASSIGN_OR_RETURN(const size_t rows, disguised->NextChunk(&chunk));
-        if (rows == 0) break;
-        moments.AccumulateMeans(chunk, rows);
-        m_pass1_chunk_nanos.Record(NanosSince(chunk_start));
-        m_chunks_pass1.Add(1);
-        m_records_pass1.Add(rows);
+    }
+    for (;;) {
+      const uint64_t chunk_start = trace::NowNanos();
+      size_t rows = 0;
+      if (columnar != nullptr) {
+        RR_ASSIGN_OR_RETURN(rows, columnar->NextBlockColumns(&block_columns));
+        moments.AccumulateColumns(block_columns.data(), rows);
+      } else {
+        RR_ASSIGN_OR_RETURN(rows, disguised->NextChunk(&chunk));
+        moments.Accumulate(chunk, rows);
       }
+      if (rows == 0) break;
+      m_pass1_chunk_nanos.Record(NanosSince(chunk_start));
+      m_chunks_pass1.Add(1);
+      m_records_pass1.Add(rows);
     }
   }
   const size_t n = moments.num_records();
@@ -155,44 +153,6 @@ Result<StreamingAttackReport> StreamingAttackPipeline::Run(
     return Status::InvalidArgument(
         "StreamingAttackPipeline: need at least 2 records, saw " +
         std::to_string(n));
-  }
-  moments.FinalizeMeans();
-  size_t scatter_records = 0;
-  {
-    trace::TraceSpan scatter_span("attack.pass1_scatter");
-    if (columnar != nullptr) {
-      RR_RETURN_NOT_OK(columnar->ResetBlocks());
-      for (;;) {
-        const uint64_t chunk_start = trace::NowNanos();
-        RR_ASSIGN_OR_RETURN(const size_t rows,
-                            columnar->NextBlockColumns(&block_columns));
-        if (rows == 0) break;
-        moments.AccumulateScatterColumns(block_columns.data(), rows);
-        scatter_records += rows;
-        m_pass1_chunk_nanos.Record(NanosSince(chunk_start));
-        m_chunks_pass1.Add(1);
-      }
-    } else {
-      RR_RETURN_NOT_OK(disguised->Reset());
-      for (;;) {
-        const uint64_t chunk_start = trace::NowNanos();
-        RR_ASSIGN_OR_RETURN(const size_t rows, disguised->NextChunk(&chunk));
-        if (rows == 0) break;
-        moments.AccumulateScatter(chunk, rows);
-        scatter_records += rows;
-        m_pass1_chunk_nanos.Record(NanosSince(chunk_start));
-        m_chunks_pass1.Add(1);
-      }
-    }
-  }
-  // A drifting source (records appended/lost between sweeps) is a data
-  // error, not a programming error: fail the job before the accumulator's
-  // own count RR_CHECK would abort the process.
-  if (scatter_records != n) {
-    return Status::InvalidArgument(
-        "StreamingAttackPipeline: source served " +
-        std::to_string(scatter_records) + " records on the scatter sweep but " +
-        std::to_string(n) + " on the means sweep");
   }
   const linalg::Vector mean = moments.means();
   const linalg::Matrix cov_y = moments.FinalizeCovariance();
@@ -288,7 +248,8 @@ Result<StreamingAttackReport> StreamingAttackPipeline::Run(
   if (row_offset != n) {
     return Status::InvalidArgument(
         "StreamingAttackPipeline: source served " + std::to_string(row_offset) +
-        " records on pass 2 but " + std::to_string(n) + " on pass 1");
+        " records on the pass-2 sweep but " + std::to_string(n) +
+        " on the pass-1 sweep");
   }
   if (reference != nullptr) {
     RR_ASSIGN_OR_RETURN(const size_t extra, reference->NextChunk(&reference_chunk));

@@ -3,14 +3,14 @@
 //
 // Everything those attacks need from the n x m disguised matrix Y is its
 // column means, its m x m sample covariance, and one more look at every
-// record to project it — all streamable. The pipeline therefore runs in
-// two logical passes with peak resident data
+// record to project it — all streamable. The pipeline therefore sweeps
+// the source twice (two passes) with peak resident data
 // O((chunk_rows + kGramChunkRows)·m + m²) — the second term is the
 // moment accumulator's fixed 4096-row staging block, which dominates if
 // chunk_rows is shrunk below it:
 //
-//   Pass 1 — moments: stream Y through stats::StreamingMoments (two
-//     sweeps: means, then centered scatter), eigendecompose ONCE:
+//   Pass 1 — moments: stream Y ONCE through stats::StreamingMoments
+//     (per-block moments merged in record order), eigendecompose ONCE:
 //       SF      — eigenvectors of Cov(Y), p from the Marchenko–Pastur
 //                 bound (core::SelectSfComponents);
 //       PCA-DR  — Theorem 5.1/8.2 estimate Σ̂x = Cov(Y) − Σr

@@ -3,8 +3,8 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "linalg/kernels.h"
 #include "linalg/matrix_util.h"
+#include "stats/streaming_moments.h"
 
 namespace randrecon {
 namespace stats {
@@ -52,14 +52,11 @@ linalg::Matrix CenterColumns(const linalg::Matrix& data,
 }
 
 linalg::Matrix SampleCovariance(const linalg::Matrix& data, int ddof) {
-  RR_CHECK(ddof == 0 || ddof == 1) << "ddof must be 0 or 1";
-  const size_t n = data.rows();
-  RR_CHECK_GT(n, static_cast<size_t>(ddof)) << "not enough records";
-  // Cov = centeredᵀ centered / (n - ddof), in one blocked syrk-style pass
-  // over the centered records (linalg/kernels.h).
-  const linalg::Matrix centered = CenterColumns(data);
-  return linalg::kernels::GramMatrix(centered,
-                                     static_cast<double>(n - ddof));
+  // The blocked Chan–Golub–LeVeque merge of stats::StreamingMoments, so
+  // an out-of-core sweep over the same records reproduces these bits.
+  StreamingMoments moments(data.cols());
+  moments.Accumulate(data, data.rows());
+  return moments.FinalizeCovariance(ddof);
 }
 
 linalg::Matrix SampleCorrelation(const linalg::Matrix& data) {

@@ -24,7 +24,9 @@ linalg::Matrix CenterColumns(const linalg::Matrix& data,
 
 /// Sample covariance matrix (m x m). `ddof` = 0 for the population
 /// convention (divide by n, matching the paper's large-n analysis),
-/// 1 for the unbiased estimator (divide by n-1).
+/// 1 for the unbiased estimator (divide by n-1). Computed by merging
+/// kGramChunkRows-record blocks in order (stats::StreamingMoments), so a
+/// streamed covariance over the same records is bitwise this one.
 linalg::Matrix SampleCovariance(const linalg::Matrix& data, int ddof = 0);
 
 /// Matrix of sample correlation coefficients (diagonal = 1).

@@ -10,71 +10,47 @@ namespace stats {
 
 using linalg::kernels::kGramChunkRows;
 
+namespace {
+
+/// Stages records [0, span) into `staged` in merge coordinates,
+/// (x − shift) − mean, folding each raw value into `sums` and each moved
+/// value into `moved_sums` — per column, in record order. `load(i, j)`
+/// reads attribute j of record i from the caller's layout; every entry
+/// point shares this loop, so they stage and fold identical bits. The
+/// restrict-qualified pointers let the compiler vectorize across the m
+/// columns of a record (each column's additions stay in record order).
+template <typename Load>
+void StageMoved(size_t span, size_t m, const Load& load,
+                const double* __restrict shift, const double* __restrict mean,
+                double* __restrict sums, double* __restrict moved_sums,
+                double* __restrict staged) {
+  for (size_t i = 0; i < span; ++i) {
+    double* out = staged + i * m;
+    for (size_t j = 0; j < m; ++j) {
+      const double x = load(i, j);
+      sums[j] += x;
+      const double moved = (x - shift[j]) - mean[j];
+      out[j] = moved;
+      moved_sums[j] += moved;
+    }
+  }
+}
+
+}  // namespace
+
 StreamingMoments::StreamingMoments(size_t num_attributes,
                                    const ParallelOptions& options)
     : num_attributes_(num_attributes),
       options_(options),
-      sums_(num_attributes, 0.0) {
+      sums_(num_attributes, 0.0),
+      shift_(num_attributes, 0.0),
+      mean_(num_attributes, 0.0),
+      delta_(num_attributes, 0.0) {
   RR_CHECK_GT(num_attributes, 0u) << "StreamingMoments: zero attributes";
 }
 
-void StreamingMoments::AccumulateMeans(const double* rows, size_t num_rows) {
-  RR_CHECK(phase_ == Phase::kMeans)
-      << "StreamingMoments: AccumulateMeans after FinalizeMeans";
-  // Strictly record-ordered accumulation: the exact summation order of
-  // stats::ColumnMeans, independent of how the stream is chunked.
-  const size_t m = num_attributes_;
-  for (size_t i = 0; i < num_rows; ++i) {
-    const double* row = rows + i * m;
-    for (size_t j = 0; j < m; ++j) sums_[j] += row[j];
-  }
-  mean_count_ += num_rows;
-}
-
-void StreamingMoments::AccumulateMeans(const linalg::Matrix& chunk,
-                                       size_t num_rows) {
-  RR_CHECK_EQ(chunk.cols(), num_attributes_) << "chunk width mismatch";
-  RR_CHECK_LE(num_rows, chunk.rows()) << "more rows than the chunk holds";
-  AccumulateMeans(chunk.data(), num_rows);
-}
-
-void StreamingMoments::AccumulateMeansColumns(const double* const* columns,
-                                              size_t num_rows) {
-  RR_CHECK(phase_ == Phase::kMeans)
-      << "StreamingMoments: AccumulateMeansColumns after FinalizeMeans";
-  // sums_[j] folds only column j's values, in record order — exactly the
-  // additions the row-major loop performs on it, so the two forms are
-  // bitwise interchangeable. Iterating per column turns the strided
-  // row-major reads into contiguous ones (the fast path for mmap'd
-  // BlockColumn slices).
-  for (size_t j = 0; j < num_attributes_; ++j) {
-    const double* column = columns[j];
-    double sum = sums_[j];
-    for (size_t i = 0; i < num_rows; ++i) sum += column[i];
-    sums_[j] = sum;
-  }
-  mean_count_ += num_rows;
-}
-
-void StreamingMoments::FinalizeMeans() {
-  RR_CHECK(phase_ == Phase::kMeans) << "StreamingMoments: double FinalizeMeans";
-  RR_CHECK_GT(mean_count_, 0u) << "StreamingMoments: no records accumulated";
-  means_ = sums_;
-  for (double& value : means_) value /= static_cast<double>(mean_count_);
-  phase_ = Phase::kScatter;
-}
-
-const linalg::Vector& StreamingMoments::means() const {
-  RR_CHECK(phase_ != Phase::kMeans)
-      << "StreamingMoments: means() before FinalizeMeans";
-  return means_;
-}
-
-void StreamingMoments::AccumulateScatterSpans(
-    size_t num_rows,
-    const std::function<void(size_t, size_t, double*)>& stage) {
-  RR_CHECK(phase_ == Phase::kScatter)
-      << "StreamingMoments: AccumulateScatter outside the scatter phase";
+void StreamingMoments::AccumulateSpans(
+    size_t num_rows, const std::function<void(size_t, size_t)>& stage) {
   const size_t m = num_attributes_;
   if (staging_.empty() && num_rows > 0) {
     staging_.resize(kGramChunkRows * m);
@@ -85,7 +61,7 @@ void StreamingMoments::AccumulateScatterSpans(
   while (consumed < num_rows) {
     const size_t span = std::min(num_rows - consumed,
                                  kGramChunkRows - staging_rows_);
-    stage(consumed, span, staging_.data() + staging_rows_ * m);
+    stage(consumed, span);
     staging_rows_ += span;
     consumed += span;
     // Flushes happen exactly every kGramChunkRows records, so block
@@ -94,70 +70,104 @@ void StreamingMoments::AccumulateScatterSpans(
     // entry point (row-major or columnar) staged each span.
     if (staging_rows_ == kGramChunkRows) FlushStagingBlock();
   }
-  scatter_count_ += num_rows;
+  num_records_ += num_rows;
 }
 
-void StreamingMoments::AccumulateScatter(const double* rows, size_t num_rows) {
+void StreamingMoments::Accumulate(const double* rows, size_t num_rows) {
   const size_t m = num_attributes_;
-  AccumulateScatterSpans(
-      num_rows, [&](size_t consumed, size_t span, double* staged) {
-        const double* source = rows + consumed * m;
-        for (size_t i = 0; i < span; ++i) {
-          for (size_t j = 0; j < m; ++j) {
-            // The same centering op CenterColumns applies element-wise.
-            staged[i * m + j] = source[i * m + j] - means_[j];
-          }
-        }
-      });
+  AccumulateSpans(num_rows, [&](size_t consumed, size_t span) {
+    const double* source = rows + consumed * m;
+    StageMoved(
+        span, m, [source, m](size_t i, size_t j) { return source[i * m + j]; },
+        shift_.data(), mean_.data(), sums_.data(), delta_.data(),
+        staging_.data() + staging_rows_ * m);
+  });
 }
 
-void StreamingMoments::AccumulateScatter(const linalg::Matrix& chunk,
-                                         size_t num_rows) {
+void StreamingMoments::Accumulate(const linalg::Matrix& chunk,
+                                  size_t num_rows) {
   RR_CHECK_EQ(chunk.cols(), num_attributes_) << "chunk width mismatch";
   RR_CHECK_LE(num_rows, chunk.rows()) << "more rows than the chunk holds";
-  AccumulateScatter(chunk.data(), num_rows);
+  Accumulate(chunk.data(), num_rows);
 }
 
-void StreamingMoments::AccumulateScatterColumns(const double* const* columns,
-                                                size_t num_rows) {
-  // Center straight from the contiguous column slices into the staging
-  // block: the same value lands at the same staging offset as in the
-  // row-major form, so the bits match.
+void StreamingMoments::AccumulateColumns(const double* const* columns,
+                                         size_t num_rows) {
+  // Record by record across the column slices: contiguous staging
+  // writes, and the same values at the same offsets as the row-major
+  // form, so the bits match.
   const size_t m = num_attributes_;
-  AccumulateScatterSpans(
-      num_rows, [&](size_t consumed, size_t span, double* staged) {
-        for (size_t j = 0; j < m; ++j) {
-          const double* column = columns[j] + consumed;
-          const double mean = means_[j];
-          double* out = staged + j;
-          for (size_t i = 0; i < span; ++i) out[i * m] = column[i] - mean;
-        }
-      });
+  AccumulateSpans(num_rows, [&](size_t consumed, size_t span) {
+    StageMoved(
+        span, m,
+        [columns, consumed](size_t i, size_t j) {
+          return columns[j][consumed + i];
+        },
+        shift_.data(), mean_.data(), sums_.data(), delta_.data(),
+        staging_.data() + staging_rows_ * m);
+  });
+}
+
+linalg::Vector StreamingMoments::means() const {
+  RR_CHECK_GT(num_records_, 0u) << "StreamingMoments: no records accumulated";
+  // The record-ordered column sums ÷ n: stats::ColumnMeans' exact order.
+  linalg::Vector means = sums_;
+  for (double& value : means) value /= static_cast<double>(num_records_);
+  return means;
 }
 
 void StreamingMoments::FlushStagingBlock() {
   const size_t m = num_attributes_;
-  linalg::kernels::GramAtAChunk(staging_.data(), staging_rows_, m,
-                                partial_.data(), options_);
-  // Fold the block partial in block order — the same ordered merge
-  // kernels::GramAtA performs, so the bits match the in-memory path.
+  const size_t rows = staging_rows_;
+  double* block = staging_.data();
+  // Staging summed the moved values; their mean is δ, this block's mean
+  // minus the running one.
+  for (double& value : delta_) value /= static_cast<double>(rows);
+  // Center on the block's own mean, then take its scatter M_b.
+  for (size_t i = 0; i < rows; ++i) {
+    double* row = block + i * m;
+    for (size_t j = 0; j < m; ++j) row[j] -= delta_[j];
+  }
+  linalg::kernels::GramAtAChunk(block, rows, m, partial_.data(), options_);
+
+  // The Chan–Golub–LeVeque merge, in block order. For the first block
+  // n_a = 0, so the weight is 0 and M becomes M_b: a single-block stream
+  // is exactly "center on the column means, Gram".
+  const double n_a = static_cast<double>(merged_rows_);
+  const double n_b = static_cast<double>(rows);
+  const double n = n_a + n_b;
+  const double weight = n_a * n_b / n;
   for (size_t p = 0; p < m; ++p) {
     double* scatter_row = scatter_.data() + p * m;
     const double* partial_row = partial_.data() + p * m;
-    for (size_t q = p; q < m; ++q) scatter_row[q] += partial_row[q];
+    for (size_t q = p; q < m; ++q) {
+      scatter_row[q] += partial_row[q] + delta_[p] * delta_[q] * weight;
+    }
   }
+  if (merged_rows_ == 0) {
+    // The first block's mean becomes the fixed shift; mean_ keeps its
+    // rounding residual (the mean of the centered block), so
+    // shift_ + mean_ is the block mean to well below one ulp of it.
+    std::copy(delta_.begin(), delta_.end(), shift_.begin());
+    std::fill(mean_.begin(), mean_.end(), 0.0);
+    for (size_t i = 0; i < rows; ++i) {
+      const double* row = block + i * m;
+      for (size_t j = 0; j < m; ++j) mean_[j] += row[j];
+    }
+    for (double& value : mean_) value /= n_b;
+  } else {
+    const double share = n_b / n;
+    for (size_t j = 0; j < m; ++j) mean_[j] += delta_[j] * share;
+  }
+  std::fill(delta_.begin(), delta_.end(), 0.0);
+  merged_rows_ += rows;
   staging_rows_ = 0;
 }
 
 linalg::Matrix StreamingMoments::FinalizeCovariance(int ddof) {
-  RR_CHECK(phase_ == Phase::kScatter)
-      << "StreamingMoments: FinalizeCovariance outside the scatter phase";
   RR_CHECK(ddof == 0 || ddof == 1) << "ddof must be 0 or 1";
-  RR_CHECK_EQ(scatter_count_, mean_count_)
-      << "StreamingMoments: scatter pass saw a different record count";
-  RR_CHECK_GT(mean_count_, static_cast<size_t>(ddof)) << "not enough records";
+  RR_CHECK_GT(num_records_, static_cast<size_t>(ddof)) << "not enough records";
   if (staging_rows_ > 0) FlushStagingBlock();
-  phase_ = Phase::kDone;
 
   const size_t m = num_attributes_;
   linalg::Matrix covariance(m, m);
@@ -167,7 +177,7 @@ linalg::Matrix StreamingMoments::FinalizeCovariance(int ddof) {
   for (size_t p = 0; p < m; ++p) {
     for (size_t q = p + 1; q < m; ++q) c[q * m + p] = c[p * m + q];
   }
-  const double denom = static_cast<double>(mean_count_ - ddof);
+  const double denom = static_cast<double>(num_records_ - ddof);
   for (size_t i = 0; i < covariance.size(); ++i) c[i] /= denom;
   return covariance;
 }

@@ -1,33 +1,42 @@
 // StreamingMoments: out-of-core mean and sample-covariance accumulation
-// over record chunks of ANY size, in O(kGramChunkRows·m + m²) memory.
+// over record chunks of ANY size, in ONE sweep and O(kGramChunkRows·m + m²)
+// memory.
 //
 // The covariance-driven attacks (PCA-DR, SF) need exactly two things from
 // the n x m record matrix: the column means and the centered scatter
 // Σᵢ (xᵢ−µ)(xᵢ−µ)ᵀ. Both are streamable, so the attacker never has to
 // hold n x m — the basis of the src/pipeline subsystem.
 //
+// Algorithm: records are staged raw into fixed blocks of
+// kernels::kGramChunkRows. When a block is full (or the stream ends), it
+// is centered on its own mean and flushed through kernels::GramAtAChunk;
+// its (count, mean, scatter) triple is then merged into the running
+// (n_a, µ_a, M_a) with the pairwise update of Chan, Golub & LeVeque
+// ("Algorithms for computing the sample variance", 1983):
+//
+//   δ  = µ_b − µ_a
+//   n  = n_a + n_b
+//   µ_a ← µ_a + δ·(n_b / n)
+//   M_a ← M_a + (M_b + δδᵀ·(n_a·n_b / n))
+//
+// Large column means cost no precision: µ_a is held as the first block's
+// mean (a fixed shift) plus a small running remainder, and every later
+// block is moved into those coordinates (xᵢ − shift − remainder) before
+// its mean is taken. δ and the block's centered rows are then computed
+// at the scale of the data's spread, not of its offset.
+//
 // Determinism contract (tested in streaming_moments_test):
 //   FinalizeCovariance() is BITWISE identical to
-//   stats::SampleCovariance(data) for any sequence of chunk sizes and any
-//   thread count. This works because
-//     * mean accumulation is strictly record-ordered (the same order
-//       ColumnMeans uses), so chunk boundaries never change it;
-//     * scatter accumulation stages centered rows into fixed blocks of
-//       kernels::kGramChunkRows records — block boundaries fall at global
-//       record indices that are multiples of the constant, no matter how
-//       the caller chunks its input — and flushes each block through
-//       kernels::GramAtAChunk, folding partials in block order: exactly
-//       the accumulation structure kernels::GramAtA pins for the
-//       in-memory path.
-//
-// Usage is two-phase because exact centering needs the means first (the
-// one-pass raw-moment formula Σxxᵀ/n − µµᵀ is neither bitwise compatible
-// nor numerically safe for data with large means):
+//   stats::SampleCovariance(data) for any sequence of chunk sizes, either
+//   entry point, and any thread count: block boundaries fall at global
+//   record indices that are multiples of kGramChunkRows no matter how the
+//   caller chunks its input, blocks merge strictly in record order, and
+//   SampleCovariance runs this same accumulator. means() is the
+//   record-ordered column sum ÷ n — bitwise stats::ColumnMeans.
 //
 //   StreamingMoments moments(m);
-//   for (chunk : stream) moments.AccumulateMeans(chunk, rows);
-//   moments.FinalizeMeans();
-//   for (chunk : re-streamed) moments.AccumulateScatter(chunk, rows);
+//   for (chunk : stream) moments.Accumulate(chunk, rows);
+//   linalg::Vector mean = moments.means();
 //   linalg::Matrix cov = moments.FinalizeCovariance();
 
 #ifndef RANDRECON_STATS_STREAMING_MOMENTS_H_
@@ -42,10 +51,10 @@
 namespace randrecon {
 namespace stats {
 
-/// Two-phase streaming estimator of column means and sample covariance.
-/// Phase misuse (accumulating scatter before FinalizeMeans, mismatched
-/// record counts between phases) is a programmer error and aborts via
-/// RR_CHECK, mirroring the preconditions of stats::SampleCovariance.
+/// Single-sweep streaming estimator of column means and sample
+/// covariance. Misuse (width mismatches, finalizing too few records) is a
+/// programmer error and aborts via RR_CHECK, mirroring the preconditions
+/// of stats::SampleCovariance.
 class StreamingMoments {
  public:
   /// `options` parallelizes the per-block Gram kernel; results are
@@ -53,72 +62,61 @@ class StreamingMoments {
   explicit StreamingMoments(size_t num_attributes,
                             const ParallelOptions& options = {});
 
-  /// Phase 1: feeds `num_rows` records (row-major, num_attributes wide).
-  void AccumulateMeans(const double* rows, size_t num_rows);
+  /// Feeds `num_rows` records (row-major, num_attributes wide).
+  void Accumulate(const double* rows, size_t num_rows);
 
-  /// Phase 1 convenience over a chunk buffer's leading rows.
-  void AccumulateMeans(const linalg::Matrix& chunk, size_t num_rows);
+  /// Convenience over a chunk buffer's leading rows.
+  void Accumulate(const linalg::Matrix& chunk, size_t num_rows);
 
-  /// Phase 1, columnar form: `columns[j]` points at `num_rows` contiguous
-  /// values of attribute j (e.g. a ColumnStoreReader::BlockColumn slice),
-  /// so mmap'd stores feed the accumulator zero-copy. BITWISE identical
-  /// to the row-major form: sums_[j] folds only column j's values, in
-  /// record order, under either iteration — the forms are interchangeable
-  /// mid-stream.
-  void AccumulateMeansColumns(const double* const* columns, size_t num_rows);
+  /// Columnar form: `columns[j]` points at `num_rows` contiguous values of
+  /// attribute j (e.g. a ColumnStoreReader::BlockColumn slice), so mmap'd
+  /// stores feed the accumulator without a row-major gather. Stages the
+  /// same values at the same offsets as the row-major form, so the two
+  /// forms are bitwise interchangeable mid-stream.
+  void AccumulateColumns(const double* const* columns, size_t num_rows);
 
-  /// Ends phase 1 (requires at least one record) and fixes the means.
-  void FinalizeMeans();
+  /// Column means µ̂ of every record accumulated so far (requires at
+  /// least one).
+  linalg::Vector means() const;
 
-  /// Column means µ̂. Valid after FinalizeMeans().
-  const linalg::Vector& means() const;
-
-  /// Phase 2: feeds the SAME record stream again, in the same order.
-  void AccumulateScatter(const double* rows, size_t num_rows);
-
-  /// Phase 2 convenience over a chunk buffer's leading rows.
-  void AccumulateScatter(const linalg::Matrix& chunk, size_t num_rows);
-
-  /// Phase 2, columnar form. Centers straight from the column slices into
-  /// the same staging block (identical values at identical staging
-  /// offsets, flushed at the same global record indices), so the
-  /// covariance is bitwise identical to the row-major form.
-  void AccumulateScatterColumns(const double* const* columns, size_t num_rows);
-
-  /// Ends phase 2 and returns the m x m sample covariance (ddof = 0:
-  /// divide by n; ddof = 1: divide by n−1). Requires the phase-2 record
-  /// count to equal the phase-1 count, and n > ddof.
+  /// Flushes the last (ragged) block and returns the m x m sample
+  /// covariance (ddof = 0: divide by n; ddof = 1: divide by n−1).
+  /// Requires n > ddof. Ends the stream: later records would start a
+  /// block off the kGramChunkRows grid.
   linalg::Matrix FinalizeCovariance(int ddof = 0);
 
-  /// Records accumulated in phase 1 so far.
-  size_t num_records() const { return mean_count_; }
+  /// Records accumulated so far.
+  size_t num_records() const { return num_records_; }
 
   size_t num_attributes() const { return num_attributes_; }
 
  private:
-  /// The one copy of the scatter staging skeleton (lazy buffer init,
-  /// span loop, flush exactly at kGramChunkRows boundaries) that the
-  /// bitwise contract depends on. `stage(consumed, span, staged)`
-  /// centers records [consumed, consumed + span) of the caller's input
-  /// into the staging rows at `staged` — the only part that differs
-  /// between the row-major and columnar entry points.
-  void AccumulateScatterSpans(
-      size_t num_rows,
-      const std::function<void(size_t, size_t, double*)>& stage);
+  /// The one copy of the staging skeleton (lazy buffer init, span loop,
+  /// flush exactly at kGramChunkRows boundaries) that the bitwise
+  /// contract depends on. `stage(consumed, span)` stages records
+  /// [consumed, consumed + span) of the caller's input after the
+  /// staging_rows_ already held — the only part that differs between the
+  /// row-major and columnar entry points.
+  void AccumulateSpans(size_t num_rows,
+                       const std::function<void(size_t, size_t)>& stage);
 
+  /// Centers the staged block on its own mean and merges its scatter
+  /// into the running moments (the update above).
   void FlushStagingBlock();
-
-  enum class Phase { kMeans, kScatter, kDone };
 
   size_t num_attributes_;
   ParallelOptions options_;
-  Phase phase_ = Phase::kMeans;
-  size_t mean_count_ = 0;
-  size_t scatter_count_ = 0;
-  linalg::Vector sums_;
-  linalg::Vector means_;
-  std::vector<double> staging_;  ///< kGramChunkRows x m centered rows.
+  size_t num_records_ = 0;   ///< Records accumulated, staged ones included.
+  size_t merged_rows_ = 0;   ///< n_a: records merged into mean_/scatter_.
+  linalg::Vector sums_;      ///< Record-ordered raw column sums.
+  linalg::Vector shift_;     ///< The first block's mean (0 before it).
+  linalg::Vector mean_;      ///< µ_a − shift_: the running merge mean.
+  /// kGramChunkRows x m staged rows, in merge coordinates
+  /// (x − shift_ − mean_).
+  std::vector<double> staging_;
   size_t staging_rows_ = 0;
+  /// Column sums of the staged rows; δ·n_b once the block flushes.
+  linalg::Vector delta_;
   std::vector<double> partial_;  ///< m x m per-block Gram partial.
   std::vector<double> scatter_;  ///< m x m upper-triangle accumulation.
 };

@@ -220,6 +220,44 @@ TEST_F(AttackSchedulerTest, RowsTriggerFiresOnPublishedGrowth) {
   ASSERT_TRUE(writer.Close().ok());
 }
 
+TEST_F(AttackSchedulerTest, RowsTriggerFiresOnRotationOfASaturatedWindow) {
+  // Once retention holds the window at retain_shards, every rotation
+  // retires as many rows as it publishes: the row total never grows, yet
+  // each rotation brings kShardRows rows the last report never saw.
+  trace::FakeClockGuard clock(0);
+  data::RollingStoreOptions store_options;
+  store_options.shard_rows = kShardRows;
+  store_options.block_rows = 16;
+  store_options.retain_shards = 2;
+  auto writer_created = data::RollingShardedStoreWriter::Create(
+      kManifest, Names(), store_options);
+  ASSERT_TRUE(writer_created.ok());
+  data::RollingShardedStoreWriter writer = std::move(writer_created).value();
+  ASSERT_TRUE(writer.Append(ShardRecords(0), kShardRows).ok());
+  ASSERT_TRUE(writer.Append(ShardRecords(1), kShardRows).ok());
+
+  AttackSchedulerOptions options = BaseOptions(kReports);
+  options.cadence_nanos = 0;
+  options.min_new_rows = kShardRows;
+  auto created = AttackScheduler::Create(kManifest, options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  AttackScheduler& scheduler = *created.value();
+  SchedulerCycleResult first = scheduler.Tick();
+  ASSERT_EQ(first.outcome, CycleOutcome::kOk) << first.status.ToString();
+  EXPECT_EQ(first.snapshot_rows, 2 * kShardRows);
+  EXPECT_EQ(scheduler.Tick().outcome, CycleOutcome::kNotDue);
+
+  // Rotation: shard 2 is published and shard 0 retired.
+  ASSERT_TRUE(writer.Append(ShardRecords(2), kShardRows).ok());
+  SchedulerCycleResult second = scheduler.Tick();
+  ASSERT_EQ(second.outcome, CycleOutcome::kOk) << second.status.ToString();
+  EXPECT_EQ(second.version, 2u);
+  EXPECT_EQ(second.snapshot_rows, 2 * kShardRows);
+  EXPECT_EQ(second.rows_since_last_report, 0);
+  EXPECT_EQ(scheduler.Tick().outcome, CycleOutcome::kNotDue);
+  ASSERT_TRUE(writer.Close().ok());
+}
+
 TEST_F(AttackSchedulerTest, CycleOutputIsBitwiseEqualToADirectPipelineRun) {
   PublishShards(kManifest, 3);
   AttackSchedulerOptions options = BaseOptions(kReports);

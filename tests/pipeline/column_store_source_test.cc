@@ -132,15 +132,7 @@ TEST_F(ColumnStoreSourceTest, AttacksOverStoreMatchCsvBitwise) {
           auto rows = opened.value().source->NextChunk(&buffer);
           ASSERT_TRUE(rows.ok());
           if (rows.value() == 0) break;
-          moments.AccumulateMeans(buffer, rows.value());
-        }
-        moments.FinalizeMeans();
-        ASSERT_TRUE(opened.value().source->Reset().ok());
-        for (;;) {
-          auto rows = opened.value().source->NextChunk(&buffer);
-          ASSERT_TRUE(rows.ok());
-          if (rows.value() == 0) break;
-          moments.AccumulateScatter(buffer, rows.value());
+          moments.Accumulate(buffer, rows.value());
         }
         covariance[which] = moments.FinalizeCovariance();
       }

@@ -302,15 +302,14 @@ TEST(StreamingAttackTest, TelemetryCountersArePinned) {
   RunStreaming(fixture, StreamingAttack::kPcaDr, 30, &report);
   ASSERT_EQ(report.num_records, 100u);
 
-  // 100 rows in 30-row chunks is 4 chunks per sweep; pass 1 sweeps the
-  // source twice (means, then scatter), pass 2 once. Records are counted
-  // on the means sweep and on pass 2 — exactly n each.
+  // 100 rows in 30-row chunks is 4 chunks per sweep; pass 1 and pass 2
+  // each sweep the source once, and each counts exactly n records.
   EXPECT_EQ(AttackCounter("attack.runs"), 1u);
   EXPECT_EQ(AttackCounter("attack.records_pass1"), 100u);
   EXPECT_EQ(AttackCounter("attack.records_pass2"), 100u);
-  EXPECT_EQ(AttackCounter("attack.chunks_pass1"), 8u);
+  EXPECT_EQ(AttackCounter("attack.chunks_pass1"), 4u);
   EXPECT_EQ(AttackCounter("attack.chunks_pass2"), 4u);
-  EXPECT_EQ(AttackHistogramCount("attack.pass1_chunk_nanos"), 8u);
+  EXPECT_EQ(AttackHistogramCount("attack.pass1_chunk_nanos"), 4u);
   EXPECT_EQ(AttackHistogramCount("attack.pass2_chunk_nanos"), 4u);
 }
 
@@ -334,7 +333,8 @@ TEST(StreamingAttackTest, TracingDoesNotPerturbTheNumbers) {
     }
     return false;
   };
-  EXPECT_TRUE(has_span("attack.pass1_means"));
+  // Pass 1 is one sweep, traced under the scatter span name only.
+  EXPECT_FALSE(has_span("attack.pass1_means"));
   EXPECT_TRUE(has_span("attack.pass1_scatter"));
   EXPECT_TRUE(has_span("attack.eigen"));
   EXPECT_TRUE(has_span("attack.pass2"));

@@ -1,11 +1,13 @@
 // The determinism contract of the streaming accumulator: for ANY chunk
 // size and ANY thread count, the streamed means/covariance are BITWISE
 // identical to the in-memory stats::ColumnMeans / stats::SampleCovariance
-// over the same records (exact 0.0 difference, not a tolerance).
+// over the same records (exact 0.0 difference, not a tolerance) — plus
+// the accuracy of the single-sweep block merge on badly offset data.
 
 #include "stats/streaming_moments.h"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,27 +33,24 @@ Matrix StreamCovariance(const Matrix& data, size_t chunk_rows, int num_threads,
   StreamingMoments moments(data.cols(), options);
   for (size_t row = 0; row < data.rows(); row += chunk_rows) {
     const size_t rows = std::min(chunk_rows, data.rows() - row);
-    moments.AccumulateMeans(data.row_data(row), rows);
-  }
-  moments.FinalizeMeans();
-  for (size_t row = 0; row < data.rows(); row += chunk_rows) {
-    const size_t rows = std::min(chunk_rows, data.rows() - row);
-    moments.AccumulateScatter(data.row_data(row), rows);
+    moments.Accumulate(data.row_data(row), rows);
   }
   if (means_out != nullptr) *means_out = moments.means();
   return moments.FinalizeCovariance(ddof);
 }
 
 class StreamingMomentsChunkTest
-    : public ::testing::TestWithParam<std::tuple<size_t, int>> {};
+    : public ::testing::TestWithParam<std::tuple<size_t, int, size_t>> {};
 
 TEST_P(StreamingMomentsChunkTest, BitwiseEqualsSampleCovariance) {
   const size_t chunk_rows = std::get<0>(GetParam());
   const int num_threads = std::get<1>(GetParam());
+  const size_t num_records = std::get<2>(GetParam());
   stats::Rng rng(7);
   // Large non-zero means make any raw-moment shortcut (Σxxᵀ/n − µµᵀ)
-  // detectable; n straddles one kGramChunkRows staging-block boundary.
-  Matrix data = rng.GaussianMatrix(linalg::kernels::kGramChunkRows + 321, 9);
+  // detectable; the record counts cover one partial block, a single row
+  // past a block boundary, and ragged multi-block streams.
+  Matrix data = rng.GaussianMatrix(num_records, 9);
   for (size_t i = 0; i < data.rows(); ++i) {
     for (size_t j = 0; j < data.cols(); ++j) {
       data(i, j) += 100.0 * static_cast<double>(j + 1);
@@ -75,8 +74,62 @@ TEST_P(StreamingMomentsChunkTest, BitwiseEqualsSampleCovariance) {
 // Chunk size 0 is the sentinel for "whole dataset in one chunk".
 INSTANTIATE_TEST_SUITE_P(
     ChunkSizesAndThreads, StreamingMomentsChunkTest,
-    ::testing::Combine(::testing::Values<size_t>(1, 7, 64, 0),
-                       ::testing::Values(1, 4)));
+    ::testing::Combine(
+        ::testing::Values<size_t>(1, 7, 64, 0), ::testing::Values(1, 4),
+        ::testing::Values<size_t>(1000, linalg::kernels::kGramChunkRows + 1,
+                                  linalg::kernels::kGramChunkRows + 321,
+                                  3 * linalg::kernels::kGramChunkRows + 777)));
+
+TEST(StreamingMomentsTest, LargeOffsetsKeepFullPrecision) {
+  // Column means near 1e6 with unit-scale spread: the case a one-pass
+  // raw-moment formula loses ~12 digits on. Each block is moved into the
+  // running mean's coordinates before its own mean is taken, so the
+  // between-block term of the merge is computed from unit-scale values
+  // and the result stays at the accuracy of a two-pass computation.
+  // Reference: the two-pass formula in long double.
+  stats::Rng rng(23);
+  const size_t n = 5 * linalg::kernels::kGramChunkRows + 123;
+  const size_t m = 6;
+  Matrix data = rng.GaussianMatrix(n, m);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < m; ++j) {
+      data(i, j) += 1e6 * (1.0 + 0.25 * static_cast<double>(j));
+    }
+  }
+
+  std::vector<long double> mean(m, 0.0L);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < m; ++j) mean[j] += data(i, j);
+  }
+  for (long double& value : mean) value /= static_cast<long double>(n);
+  std::vector<long double> reference(m * m, 0.0L);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t p = 0; p < m; ++p) {
+      for (size_t q = 0; q < m; ++q) {
+        reference[p * m + q] += (data(i, p) - mean[p]) * (data(i, q) - mean[q]);
+      }
+    }
+  }
+  long double scale = 0.0L;
+  for (long double& value : reference) {
+    value /= static_cast<long double>(n);
+    scale = std::max(scale, std::fabs(value));
+  }
+
+  const Matrix streamed = StreamCovariance(data, 1000, 1);
+  long double worst = 0.0L;
+  for (size_t p = 0; p < m; ++p) {
+    for (size_t q = 0; q < m; ++q) {
+      worst = std::max(worst, std::fabs(streamed(p, q) - reference[p * m + q]));
+    }
+  }
+  // Relative to the largest covariance entry (~1). A two-pass double
+  // computation lands near 1e-15 here, and so does the shifted merge. A
+  // merge that keeps µ_a as one double at the offset's scale loses ~1e-11
+  // (its rounding, ~1e-10, enters every δ) and a raw-moment shortcut far
+  // more; 1e-13 fails both with a wide margin.
+  EXPECT_LT(static_cast<double>(worst / scale), 1e-13);
+}
 
 TEST(StreamingMomentsTest, UnevenChunkSequenceStillBitwise) {
   stats::Rng rng(11);
@@ -86,16 +139,10 @@ TEST(StreamingMomentsTest, UnevenChunkSequenceStillBitwise) {
   const std::vector<size_t> spans = {1, 0, 499, 3, 497};
   size_t row = 0;
   for (size_t span : spans) {
-    moments.AccumulateMeans(data.row_data(row), span);
+    moments.Accumulate(data.row_data(row), span);
     row += span;
   }
   ASSERT_EQ(row, data.rows());
-  moments.FinalizeMeans();
-  row = 0;
-  for (size_t span : spans) {
-    moments.AccumulateScatter(data.row_data(row), span);
-    row += span;
-  }
   EXPECT_EQ(linalg::MaxAbsDifference(moments.FinalizeCovariance(),
                                      SampleCovariance(data)),
             0.0);
@@ -131,9 +178,7 @@ TEST(StreamingMomentsTest, ColumnarFormIsBitwiseTheRowMajorForm) {
 
   const Matrix expected = [&] {
     StreamingMoments moments(m);
-    moments.AccumulateMeans(data, n);
-    moments.FinalizeMeans();
-    moments.AccumulateScatter(data, n);
+    moments.Accumulate(data, n);
     return moments.FinalizeCovariance();
   }();
 
@@ -154,26 +199,14 @@ TEST(StreamingMomentsTest, ColumnarFormIsBitwiseTheRowMajorForm) {
   while (row < n) {
     const size_t take = std::min(span, n - row);
     if (span % 3 == 0) {  // Interleave the row-major form mid-stream.
-      columnar.AccumulateMeans(data.row_data(row), take);
+      columnar.Accumulate(data.row_data(row), take);
     } else {
-      columnar.AccumulateMeansColumns(columns_at(row).data(), take);
+      columnar.AccumulateColumns(columns_at(row).data(), take);
     }
     row += take;
     span = span * 2 + 1;
   }
-  columnar.FinalizeMeans();
-  row = 0;
-  span = 1;
-  while (row < n) {
-    const size_t take = std::min(span, n - row);
-    if (span % 3 == 0) {
-      columnar.AccumulateScatter(data.row_data(row), take);
-    } else {
-      columnar.AccumulateScatterColumns(columns_at(row).data(), take);
-    }
-    row += take;
-    span = span * 2 + 1;
-  }
+  EXPECT_EQ(columnar.means(), ColumnMeans(data));
   EXPECT_TRUE(columnar.FinalizeCovariance() == expected);
 }
 
@@ -181,7 +214,7 @@ TEST(StreamingMomentsTest, CountsRecords) {
   stats::Rng rng(19);
   const Matrix data = rng.GaussianMatrix(42, 3);
   StreamingMoments moments(3);
-  moments.AccumulateMeans(data, 42);
+  moments.Accumulate(data, 42);
   EXPECT_EQ(moments.num_records(), 42u);
   EXPECT_EQ(moments.num_attributes(), 3u);
 }
