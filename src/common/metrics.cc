@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <mutex>
+#include <thread>
 
 #include "common/check.h"
 
@@ -201,15 +202,17 @@ uint64_t Histogram::ValueAtPercentile(double percentile) const {
 
 HistogramSnapshot Histogram::ConsistentSnapshot() const {
   HistogramSnapshot hs;
-  // Bounded retry: a capture bracketed by two equal count reads saw no
-  // Record complete inside it (a racing Record that bumped a bucket but
-  // not yet count_ can still tear — Record's fields are independent
-  // relaxed adds — but the window shrinks from "whole capture" to "one
-  // instruction pair"). Under a sustained storm every attempt may
-  // differ; after kAttempts we keep the last capture, whose slack is
-  // monotone and bounded by the number of in-flight recorders.
-  constexpr int kAttempts = 4;
-  for (int attempt = 0; attempt < kAttempts; ++attempt) {
+  // Seqlock-style retry: a capture bracketed by two equal count reads saw
+  // no Record complete inside it, so the only tear left is a Record that
+  // bumped count_ but not yet sum_ (or a bucket but not yet count_) —
+  // Record's fields are independent relaxed adds — at most one per
+  // recording thread. Giving up after a fixed number of attempts would
+  // keep an unbracketed capture, whose skew grows with however long this
+  // thread was preempted between the sum and count reads. A capture is a
+  // few dozen loads, so it only keeps failing while Records complete
+  // back to back faster than that; yield so a descheduled recorder can
+  // finish its Record before the next attempt.
+  for (;;) {
     const uint64_t count_before = count_.load(std::memory_order_acquire);
     hs.sum = sum_.load(std::memory_order_relaxed);
     hs.min = Min();
@@ -219,6 +222,7 @@ HistogramSnapshot Histogram::ConsistentSnapshot() const {
     }
     hs.count = count_.load(std::memory_order_acquire);
     if (hs.count == count_before) break;
+    std::this_thread::yield();
   }
   hs.p50 = PercentileFromBuckets(hs.buckets.data(), hs.count, hs.min, hs.max,
                                  50.0);

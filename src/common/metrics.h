@@ -143,18 +143,17 @@ class Histogram {
   uint64_t ValueAtPercentile(double percentile) const;
 
   /// A self-consistent snapshot: count, sum, min, max and the full
-  /// bucket array are captured together, with the capture retried
-  /// (bounded) until two successive count reads agree, and the
-  /// percentiles computed from the CAPTURED buckets — not from live
-  /// re-reads like the individual accessors. Under a sustained
-  /// concurrent Record storm the bounded retry can still give up with a
-  /// small tear, but the residual slack is monotone: every field of a
-  /// later snapshot is >= (count/sum/max, buckets per-entry) or <=
-  /// (min, once nonzero) the same field of an earlier one, which is
-  /// exactly the tolerance tools/check_timeseries.py validates and
-  /// tests/common/metrics_test.cc pins (|sum - count| bounded by the
-  /// number of in-flight recorders for an all-ones workload). At
-  /// quiesce the snapshot is exact.
+  /// bucket array are captured together, with the capture retried until
+  /// two count reads bracketing it agree (no Record completed inside
+  /// it), and the percentiles computed from the CAPTURED buckets — not
+  /// from live re-reads like the individual accessors. The residual
+  /// tear is at most one in-flight Record per recording thread
+  /// (|sum - count| bounded by the number of concurrent recorders for an
+  /// all-ones workload, as tests/common/metrics_test.cc pins), and it is
+  /// monotone: every field of a later snapshot is >= (count/sum/max,
+  /// buckets per-entry) or <= (min, once nonzero) the same field of an
+  /// earlier one, which is the tolerance tools/check_timeseries.py
+  /// validates. At quiesce the snapshot is exact.
   HistogramSnapshot ConsistentSnapshot() const;
 
   const char* name() const { return name_; }

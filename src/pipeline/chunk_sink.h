@@ -37,6 +37,8 @@ class ChunkSink {
 };
 
 /// Discards every chunk (the caller only wants the report's metrics).
+/// StreamingAttackPipeline recognizes it: with no reference stream it
+/// skips the projection pass entirely, so Consume is never called.
 class NullChunkSink final : public ChunkSink {
  public:
   Status Consume(size_t, const linalg::Matrix&, size_t) override {

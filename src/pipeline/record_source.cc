@@ -11,9 +11,10 @@ namespace pipeline {
 
 namespace {
 
-/// Fires in every store-backed NextChunk — the seam retry tests and the
-/// CI fault-injection matrix use to make a read-side stage fail or crash
-/// on its Nth chunk without corrupting any file.
+/// Fires in every store-backed NextChunk and NextBlockColumns — the seam
+/// retry tests and the CI fault-injection matrix use to make a read-side
+/// stage fail or crash on its Nth chunk without corrupting any file,
+/// whichever read path the stage takes.
 Failpoint fp_next_chunk("source.next_chunk");
 
 }  // namespace
@@ -65,6 +66,7 @@ Result<size_t> ColumnStoreRecordSource::NextChunk(linalg::Matrix* buffer) {
 
 Result<size_t> ColumnStoreRecordSource::NextBlockColumns(
     std::vector<const double*>* columns) {
+  RR_FAILPOINT(fp_next_chunk);
   if (next_block_ == reader_.num_blocks()) return size_t{0};
   const size_t m = reader_.num_attributes();
   columns->resize(m);
@@ -106,6 +108,7 @@ Result<size_t> ShardedRecordSource::NextBlockColumns(
   // the same record order NextChunk serves. Shards' final blocks may be
   // partial, so global blocks are ragged; consumers only see per-block
   // row counts, which is all the moment accumulator needs.
+  RR_FAILPOINT(fp_next_chunk);
   for (;;) {
     if (block_shard_ == reader_.num_shards()) return size_t{0};
     RR_ASSIGN_OR_RETURN(data::ColumnStoreReader * shard,
@@ -146,6 +149,7 @@ Result<size_t> SnapshotRecordSource::NextBlockColumns(
   // the bitwise contract between a scheduled snapshot attack and an
   // offline sweep over the same manifest depends on the two sources
   // serving the same ragged block sequence.
+  RR_FAILPOINT(fp_next_chunk);
   data::ShardedStoreReader& reader = snapshot_.store_reader();
   for (;;) {
     if (block_shard_ == reader.num_shards()) return size_t{0};

@@ -2,10 +2,11 @@
 //
 // A source serves an ordered stream of n records (m attributes each) in
 // caller-sized chunks, and can be rewound. Rewindability is the load-
-// bearing contract: the covariance attacks need two passes over Y (means
-// + centered scatter, then projection), and every pass must observe the
-// byte-identical record sequence — RAPPOR-style report logs, CSV exports
-// and seeded synthetic populations all satisfy it naturally.
+// bearing contract: a covariance attack whose reconstruction is consumed
+// makes two passes over Y (moments, then projection), and every pass
+// must observe the byte-identical record sequence — RAPPOR-style report
+// logs, CSV exports and seeded synthetic populations all satisfy it
+// naturally.
 //
 // Adapters provided here:
 //   * MatrixRecordSource      — an in-memory record matrix, chunked.

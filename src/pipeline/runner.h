@@ -39,8 +39,10 @@ struct PipelineJob {
   perturb::NoiseModel noise = perturb::NoiseModel::IndependentGaussian(1, 1.0);
   /// Attack + chunking configuration.
   StreamingAttackOptions attack;
-  /// Where reconstructed chunks go; null means NullChunkSink. Sinks are
-  /// per-job (never shared), so no cross-job synchronization is needed.
+  /// Where reconstructed chunks go; null means NullChunkSink, which
+  /// (without a reference) makes the job a single read of the source.
+  /// Sinks are per-job (never shared), so no cross-job synchronization
+  /// is needed.
   std::shared_ptr<ChunkSink> sink;
   /// Retry schedule for transient failures (pipeline/retry.h). The
   /// default (max_attempts = 1) retries nothing. Only retryable errors

@@ -1,5 +1,6 @@
 #include "pipeline/streaming_attack.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <utility>
@@ -32,7 +33,31 @@ struct AttackBasis {
   linalg::Matrix q_hat;  ///< m x p principal eigenvectors.
   linalg::Vector eigenvalues;
   size_t num_components = 0;
+  /// Σ_{k>p} q_kᵀ Cov(Y) q_k over the dropped eigenvectors: the
+  /// per-record energy of the residual X̂ − Y = −(Y − µ̂)(I − Q̂Q̂ᵀ).
+  double dropped_variance = 0.0;
 };
+
+/// Cov(Y)'s variance along columns [p, m) of the full eigenvector matrix
+/// — the directions the projection discards. Each term is a quadratic
+/// form of a PSD matrix, summed without any cancellation against the
+/// kept energy; the clamp only absorbs rounding in a singular Cov(Y).
+double DroppedVariance(const linalg::Matrix& cov_y,
+                       const linalg::Matrix& eigenvectors, size_t p) {
+  const size_t m = cov_y.rows();
+  double total = 0.0;
+  for (size_t k = p; k < m; ++k) {
+    double form = 0.0;
+    for (size_t i = 0; i < m; ++i) {
+      const double* cov_row = cov_y.row_data(i);
+      double row_dot = 0.0;
+      for (size_t j = 0; j < m; ++j) row_dot += cov_row[j] * eigenvectors(j, k);
+      form += eigenvectors(i, k) * row_dot;
+    }
+    total += std::max(form, 0.0);
+  }
+  return total;
+}
 
 Result<AttackBasis> SelectBasis(const StreamingAttackOptions& options,
                                 const linalg::Matrix& cov_y,
@@ -47,6 +72,8 @@ Result<AttackBasis> SelectBasis(const StreamingAttackOptions& options,
                           linalg::SymmetricEigen(cov_y));
       basis.num_components = core::SelectSfComponents(
           eig.eigenvalues, noise, num_records, options.sf);
+      basis.dropped_variance =
+          DroppedVariance(cov_y, eig.eigenvectors, basis.num_components);
       basis.eigenvalues = std::move(eig.eigenvalues);
       basis.q_hat = eig.eigenvectors.LeftColumns(basis.num_components);
       return basis;
@@ -70,6 +97,10 @@ Result<AttackBasis> SelectBasis(const StreamingAttackOptions& options,
                           linalg::SymmetricEigen(cov_x));
       basis.num_components =
           core::SelectNumComponents(eig.eigenvalues, options.pca);
+      // The basis comes from Σ̂x, but the residual is measured against
+      // the disguised data, so its energy is taken on Cov(Y).
+      basis.dropped_variance =
+          DroppedVariance(cov_y, eig.eigenvectors, basis.num_components);
       basis.eigenvalues = std::move(eig.eigenvalues);
       basis.q_hat = eig.eigenvectors.LeftColumns(basis.num_components);
       return basis;
@@ -83,6 +114,16 @@ Result<AttackBasis> SelectBasis(const StreamingAttackOptions& options,
 uint64_t NanosSince(uint64_t start) {
   const uint64_t now = trace::NowNanos();
   return now >= start ? now - start : 0;
+}
+
+/// Publishes the finished run's throughput gauge.
+void RecordRunRate(size_t num_records, uint64_t run_start_nanos) {
+  const uint64_t run_nanos = NanosSince(run_start_nanos);
+  if (run_nanos > 0) {
+    m_last_rows_per_second.Set(static_cast<int64_t>(
+        static_cast<double>(num_records) * 1e9 /
+        static_cast<double>(run_nanos)));
+  }
 }
 
 }  // namespace
@@ -164,6 +205,23 @@ Result<StreamingAttackReport> StreamingAttackPipeline::Run(
   }
   const size_t p = basis.num_components;
 
+  StreamingAttackReport report;
+  report.num_records = n;
+  report.num_attributes = m;
+  report.num_components = p;
+  report.eigenvalues = std::move(basis.eigenvalues);
+  report.mean = mean;
+  // Summed over the records the residual's energy is n·dropped_variance
+  // (Cov(Y) is ddof 0), so its RMSE over the n·m entries needs no sweep.
+  report.rmse_vs_disguised =
+      std::sqrt(basis.dropped_variance / static_cast<double>(m));
+  // Only a consuming sink or a reference stream needs the projected
+  // records; a metrics-only job is done after one sweep.
+  if (reference == nullptr && dynamic_cast<NullChunkSink*>(sink) != nullptr) {
+    RecordRunRate(n, run_start_nanos);
+    return report;
+  }
+
   // ---- Pass 2: project every chunk through the basis. -----------------
   RR_RETURN_NOT_OK(disguised->Reset());
   if (reference != nullptr) RR_RETURN_NOT_OK(reference->Reset());
@@ -172,7 +230,6 @@ Result<StreamingAttackReport> StreamingAttackPipeline::Run(
   linalg::Matrix centered(options_.chunk_rows, m);
   linalg::Matrix scores(options_.chunk_rows, m);  // p <= m columns used.
   linalg::Matrix reconstructed(options_.chunk_rows, m);
-  double squared_vs_disguised = 0.0;
   double squared_vs_reference = 0.0;
   size_t row_offset = 0;
   trace::TraceSpan pass2_span("attack.pass2");
@@ -195,16 +252,6 @@ Result<StreamingAttackReport> StreamingAttackPipeline::Run(
     for (size_t i = 0; i < rows; ++i) {
       double* row = reconstructed.row_data(i);
       for (size_t j = 0; j < m; ++j) row[j] += mean[j];
-    }
-    // Running metrics fold element-by-element in record order, so they
-    // are independent of the chunking too.
-    for (size_t i = 0; i < rows; ++i) {
-      const double* recon_row = reconstructed.row_data(i);
-      const double* disguised_row = chunk.row_data(i);
-      for (size_t j = 0; j < m; ++j) {
-        const double d = recon_row[j] - disguised_row[j];
-        squared_vs_disguised += d * d;
-      }
     }
     if (reference != nullptr) {
       // Gather exactly `rows` reference records. A source may legally
@@ -229,6 +276,8 @@ Result<StreamingAttackReport> StreamingAttackPipeline::Run(
                     got * m * sizeof(double));
         gathered += got;
       }
+      // The error folds element-by-element in record order, so it is
+      // independent of the chunking too.
       for (size_t i = 0; i < rows; ++i) {
         const double* recon_row = reconstructed.row_data(i);
         const double* reference_row = reference_chunk.row_data(i);
@@ -259,23 +308,12 @@ Result<StreamingAttackReport> StreamingAttackPipeline::Run(
     }
   }
 
-  StreamingAttackReport report;
-  report.num_records = n;
-  report.num_attributes = m;
-  report.num_components = p;
-  report.eigenvalues = std::move(basis.eigenvalues);
-  report.mean = mean;
-  const double denom = static_cast<double>(n) * static_cast<double>(m);
-  report.rmse_vs_disguised = std::sqrt(squared_vs_disguised / denom);
   report.has_reference = reference != nullptr;
   if (report.has_reference) {
+    const double denom = static_cast<double>(n) * static_cast<double>(m);
     report.rmse_vs_reference = std::sqrt(squared_vs_reference / denom);
   }
-  const uint64_t run_nanos = NanosSince(run_start_nanos);
-  if (run_nanos > 0) {
-    m_last_rows_per_second.Set(static_cast<int64_t>(
-        static_cast<double>(n) * 1e9 / static_cast<double>(run_nanos)));
-  }
+  RecordRunRate(n, run_start_nanos);
   return report;
 }
 

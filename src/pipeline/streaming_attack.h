@@ -2,12 +2,13 @@
 // PCA-DR) run out-of-core over a chunked record stream.
 //
 // Everything those attacks need from the n x m disguised matrix Y is its
-// column means, its m x m sample covariance, and one more look at every
-// record to project it — all streamable. The pipeline therefore sweeps
-// the source twice (two passes) with peak resident data
-// O((chunk_rows + kGramChunkRows)·m + m²) — the second term is the
-// moment accumulator's fixed 4096-row staging block, which dominates if
-// chunk_rows is shrunk below it:
+// column means and its m x m sample covariance — one streamed sweep. A
+// job that only wants the report (NullChunkSink, no reference stream)
+// therefore sweeps the source ONCE; a job whose reconstruction is
+// consumed sweeps it a second time to project every record. Peak
+// resident data is O((chunk_rows + kGramChunkRows)·m + m²) — the second
+// term is the moment accumulator's fixed 4096-row staging block, which
+// dominates if chunk_rows is shrunk below it:
 //
 //   Pass 1 — moments: stream Y ONCE through stats::StreamingMoments
 //     (per-block moments merged in record order), eigendecompose ONCE:
@@ -16,10 +17,13 @@
 //       PCA-DR  — Theorem 5.1/8.2 estimate Σ̂x = Cov(Y) − Σr
 //                 (core::EstimateOriginalCovariance), p from the
 //                 eigengap rule (core::SelectNumComponents).
-//   Pass 2 — projection: stream Y again, reconstruct each chunk as
-//     X̂ = Ȳ Q̂ Q̂ᵀ + µ̂, emit it to a ChunkSink, and fold running error
-//     metrics (vs. the disguised input, and vs. an optional aligned
-//     ground-truth stream).
+//     rmse_vs_disguised follows in closed form: the residual
+//     X̂ − Y = −(Y − µ̂)(I − Q̂Q̂ᵀ) has per-record energy
+//     Σ_{k>p} q_kᵀ Cov(Y) q_k over the dropped eigenvectors.
+//   Pass 2 — projection, only when a ChunkSink other than NullChunkSink
+//     or a reference stream is given: stream Y again, reconstruct each
+//     chunk as X̂ = Ȳ Q̂ Q̂ᵀ + µ̂, emit it to the sink, and fold
+//     rmse_vs_reference against the aligned ground-truth stream.
 //
 // Fidelity contract (tested in streaming_attack_test): the streamed
 // covariance is BITWISE equal to the in-memory stats::SampleCovariance,
@@ -73,7 +77,8 @@ struct StreamingAttackReport {
   /// Estimated mean µ̂ (column means of the disguised stream).
   linalg::Vector mean;
   /// RMSE between the reconstruction and the disguised input — how much
-  /// the attack moved the data (≈ removed noise energy).
+  /// the attack moved the data (≈ removed noise energy). Computed from
+  /// the pass-1 moments, so exactly 0 when p = m.
   double rmse_vs_disguised = 0.0;
   /// RMSE against the aligned ground-truth stream, when one was given —
   /// the paper's privacy measure.
@@ -89,11 +94,13 @@ class StreamingAttackPipeline {
       : options_(std::move(options)) {}
 
   /// Attacks the `disguised` stream, emitting reconstructed chunks to
-  /// `sink` (pass NullChunkSink to keep metrics only). `reference`, when
-  /// non-null, must be an aligned stream of the original records (same
-  /// n, same order) and feeds rmse_vs_reference. Fails with
-  /// InvalidArgument on shape mismatches or misaligned streams and
-  /// propagates source/sink errors.
+  /// `sink`. Pass NullChunkSink to keep metrics only: without a
+  /// `reference` the job then reads the source once and never projects.
+  /// `reference`, when non-null, must be an aligned stream of the
+  /// original records (same n, same order) and feeds rmse_vs_reference.
+  /// The report's other fields do not depend on the sink or reference.
+  /// Fails with InvalidArgument on shape mismatches or misaligned
+  /// streams and propagates source/sink errors.
   Result<StreamingAttackReport> Run(RecordSource* disguised,
                                     const perturb::NoiseModel& noise,
                                     ChunkSink* sink,

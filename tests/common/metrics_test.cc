@@ -252,7 +252,7 @@ TEST_F(MetricsTest, ConsistentSnapshotMatchesQuiescedState) {
 }
 
 // Under a concurrent all-ones hammer, count and sum of every
-// ConsistentSnapshot must agree within the bounded retry's residual
+// ConsistentSnapshot must agree within the bracketed retry's residual
 // slack (at most one in-flight Record per recording thread), where the
 // plain Snapshot could historically tear arbitrarily far apart.
 TEST_F(MetricsTest, ConsistentSnapshotBoundsCountSumSkewUnderLoad) {
@@ -280,7 +280,7 @@ TEST_F(MetricsTest, ConsistentSnapshotBoundsCountSumSkewUnderLoad) {
   ASSERT_FALSE(observed.empty());
   uint64_t previous_count = 0;
   for (const HistogramSnapshot& snapshot : observed) {
-    // All-ones stream: a consistent view has sum == count; the bounded
+    // All-ones stream: a consistent view has sum == count; the bracketed
     // retry tolerates at most one torn Record per concurrent recorder.
     const uint64_t skew = snapshot.sum > snapshot.count
                               ? snapshot.sum - snapshot.count

@@ -13,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/failpoint.h"
 #include "data/column_store.h"
 #include "data/csv.h"
+#include "data/rolling_store.h"
 #include "data/shard_store.h"
 #include "data/synthetic.h"
 #include "perturb/schemes.h"
@@ -241,6 +243,45 @@ TEST_F(ShardedSourceTest, ColumnarMomentsMatchRowMajorBitwise) {
     EXPECT_EQ(total, kRecords);
     EXPECT_EQ(moments.means(), row_major.means()) << *path;
     EXPECT_TRUE(moments.FinalizeCovariance() == expected_cov) << *path;
+  }
+}
+
+// The read failpoint must cover the columnar path too: a metrics-only
+// attack reads a store through NextBlockColumns alone.
+TEST_F(ShardedSourceTest, ReadFailpointFiresOnColumnarBlocks) {
+  struct DisarmOnExit {
+    ~DisarmOnExit() { DisarmAllFailpoints(); }
+  } disarm;
+  auto opened_store = ColumnStoreRecordSource::Open(store_.path());
+  ASSERT_TRUE(opened_store.ok()) << opened_store.status().ToString();
+  ColumnStoreRecordSource single_file = std::move(opened_store).value();
+  auto opened_manifest = ShardedRecordSource::Open(misaligned_.path());
+  ASSERT_TRUE(opened_manifest.ok()) << opened_manifest.status().ToString();
+  ShardedRecordSource sharded = std::move(opened_manifest).value();
+  auto pinned = data::RollingStoreSnapshotReader::Open(misaligned_.path());
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+  SnapshotRecordSource snapshot(std::move(pinned).value());
+
+  const std::pair<const char*, RecordSource*> sources[] = {
+      {"column store", &single_file},
+      {"sharded", &sharded},
+      {"snapshot", &snapshot},
+  };
+  for (const auto& [name, source] : sources) {
+    ColumnarBlockStream* columnar = source->columnar_blocks();
+    ASSERT_NE(columnar, nullptr) << name;
+    ASSERT_TRUE(columnar->ResetBlocks().ok());
+    ASSERT_TRUE(
+        ArmFailpoint("source.next_chunk", FailpointAction::kError).ok());
+    std::vector<const double*> columns;
+    auto failed = columnar->NextBlockColumns(&columns);
+    ASSERT_FALSE(failed.ok()) << name;
+    EXPECT_EQ(failed.status().code(), StatusCode::kIoError) << name;
+    // The fault fired once and consumed no block.
+    auto served = columnar->NextBlockColumns(&columns);
+    ASSERT_TRUE(served.ok()) << name << ": " << served.status().ToString();
+    EXPECT_EQ(served.value(), kBlockRows) << name;
+    DisarmAllFailpoints();
   }
 }
 

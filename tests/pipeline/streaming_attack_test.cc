@@ -6,6 +6,7 @@
 #include "pipeline/streaming_attack.h"
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -256,12 +257,94 @@ class ShrinkingSource final : public RecordSource {
 TEST(StreamingAttackTest, DriftingSourceFailsTheJobNotTheProcess) {
   const Fixture fixture = MakeFixture(100, 4);
   ShrinkingSource source(&fixture.disguised);
-  NullChunkSink sink;
+  // A consuming sink makes the pipeline sweep twice; a metrics-only job
+  // reads the source once and has no second sweep to drift across.
+  CollectChunkSink sink(4);
   const auto report =
       StreamingAttackPipeline().Run(&source, fixture.noise, &sink);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(report.status().message().find("sweep"), std::string::npos);
+}
+
+TEST(StreamingAttackTest, ClosedFormResidualMatchesTheStreamedResidual) {
+  // rmse_vs_disguised comes from the pass-1 moments. Recompute it from
+  // the emitted reconstruction for both attacks, p in {1, m-1, m}, data
+  // centred at 0 and near 1e6, and chunkings that split the 4096-row
+  // moment blocks every way.
+  constexpr size_t kRecords = 5000;
+  constexpr size_t kAttributes = 8;
+  const Fixture base = MakeFixture(kRecords, kAttributes);
+  for (const double offset : {0.0, 1e6}) {
+    Fixture fixture = base;
+    for (size_t i = 0; i < kRecords; ++i) {
+      for (size_t j = 0; j < kAttributes; ++j) {
+        const double shift = offset * (1.0 + 0.01 * static_cast<double>(j));
+        fixture.original(i, j) += shift;
+        fixture.disguised(i, j) += shift;
+      }
+    }
+    const double trace_cov_y =
+        linalg::Trace(stats::SampleCovariance(fixture.disguised));
+    for (const StreamingAttack attack :
+         {StreamingAttack::kPcaDr, StreamingAttack::kSpectralFiltering}) {
+      for (const size_t p : {size_t{1}, kAttributes - 1, kAttributes}) {
+        for (const size_t chunk_rows : {size_t{1}, size_t{7}, size_t{4096}}) {
+          SCOPED_TRACE(testing::Message()
+                       << "offset=" << offset << " attack="
+                       << static_cast<int>(attack) << " p=" << p
+                       << " chunk_rows=" << chunk_rows);
+          StreamingAttackOptions options;
+          options.attack = attack;
+          options.chunk_rows = chunk_rows;
+          options.pca.selection = core::PcSelection::kFixedCount;
+          options.pca.fixed_count = p;
+          options.sf.bound_scale = 1e9;  // Rejects all: p = min_components.
+          options.sf.min_components = p;
+          const StreamingAttackPipeline pipeline(options);
+
+          MatrixRecordSource collect_source(&fixture.disguised);
+          CollectChunkSink collect(kAttributes);
+          auto collected =
+              pipeline.Run(&collect_source, fixture.noise, &collect);
+          ASSERT_TRUE(collected.ok()) << collected.status().ToString();
+          ASSERT_EQ(collected.value().num_components, p);
+          const double closed = collected.value().rmse_vs_disguised;
+          const double streamed =
+              stats::RootMeanSquareError(collect.ToMatrix(), fixture.disguised);
+          if (p < kAttributes) {
+            // Near 1e6 the recomputed residual itself carries X̂'s
+            // rounding at ulp(1e6), a few 1e-13 relative here.
+            EXPECT_LE(std::abs(closed - streamed), 1e-12 * streamed)
+                << "closed " << closed << " streamed " << streamed;
+          } else {
+            // Nothing dropped: the closed form is exactly 0, the streamed
+            // residual is rounding only.
+            EXPECT_EQ(closed, 0.0);
+            EXPECT_LE(streamed * streamed, 1e-12 * trace_cov_y);
+          }
+
+          // The same bits whether or not pass 2 runs, and for any sink.
+          MatrixRecordSource null_source(&fixture.disguised);
+          NullChunkSink null_sink;
+          auto metrics_only =
+              pipeline.Run(&null_source, fixture.noise, &null_sink);
+          ASSERT_TRUE(metrics_only.ok());
+          MatrixRecordSource referenced_source(&fixture.disguised);
+          MatrixRecordSource reference(&fixture.original);
+          auto referenced = pipeline.Run(&referenced_source, fixture.noise,
+                                         &null_sink, &reference);
+          ASSERT_TRUE(referenced.ok());
+          const double null_rmse = metrics_only.value().rmse_vs_disguised;
+          const double referenced_rmse = referenced.value().rmse_vs_disguised;
+          EXPECT_EQ(std::memcmp(&null_rmse, &closed, sizeof(double)), 0);
+          EXPECT_EQ(std::memcmp(&referenced_rmse, &closed, sizeof(double)), 0);
+          EXPECT_FALSE(metrics_only.value().has_reference);
+          EXPECT_TRUE(referenced.value().has_reference);
+        }
+      }
+    }
+  }
 }
 
 TEST(StreamingAttackTest, TooFewRecordsIsAnError) {
@@ -311,6 +394,69 @@ TEST(StreamingAttackTest, TelemetryCountersArePinned) {
   EXPECT_EQ(AttackCounter("attack.chunks_pass2"), 4u);
   EXPECT_EQ(AttackHistogramCount("attack.pass1_chunk_nanos"), 4u);
   EXPECT_EQ(AttackHistogramCount("attack.pass2_chunk_nanos"), 4u);
+}
+
+/// Counts rewinds and served records of the wrapped source.
+class CountingSource final : public RecordSource {
+ public:
+  explicit CountingSource(const Matrix* records) : inner_(records) {}
+  size_t num_attributes() const override { return inner_.num_attributes(); }
+  Status Reset() override {
+    ++resets_;
+    return inner_.Reset();
+  }
+  Result<size_t> NextChunk(Matrix* buffer) override {
+    RR_ASSIGN_OR_RETURN(const size_t rows, inner_.NextChunk(buffer));
+    served_ += rows;
+    return rows;
+  }
+  size_t resets() const { return resets_; }
+  size_t served() const { return served_; }
+
+ private:
+  MatrixRecordSource inner_;
+  size_t resets_ = 0;
+  size_t served_ = 0;
+};
+
+TEST(StreamingAttackTest, MetricsOnlyJobSweepsTheSourceOnce) {
+  const Fixture fixture = MakeFixture(100, 4);
+  const size_t n = fixture.disguised.rows();
+  for (const StreamingAttack attack :
+       {StreamingAttack::kPcaDr, StreamingAttack::kSpectralFiltering}) {
+    StreamingAttackOptions options;
+    options.attack = attack;
+    options.chunk_rows = 30;
+    const StreamingAttackPipeline pipeline(options);
+    {
+      metrics::ResetAllMetrics();
+      CountingSource source(&fixture.disguised);
+      NullChunkSink sink;
+      ASSERT_TRUE(pipeline.Run(&source, fixture.noise, &sink).ok());
+      EXPECT_EQ(source.resets(), 1u);
+      EXPECT_EQ(source.served(), n);
+      EXPECT_EQ(AttackCounter("attack.records_pass1"), n);
+      EXPECT_EQ(AttackCounter("attack.records_pass2"), 0u);
+    }
+    {
+      // A reference stream needs the projected records: two sweeps.
+      CountingSource source(&fixture.disguised);
+      MatrixRecordSource reference(&fixture.original);
+      NullChunkSink sink;
+      ASSERT_TRUE(pipeline.Run(&source, fixture.noise, &sink, &reference).ok());
+      EXPECT_EQ(source.resets(), 2u);
+      EXPECT_EQ(source.served(), 2 * n);
+    }
+    {
+      // So does a sink that consumes them.
+      CountingSource source(&fixture.disguised);
+      CollectChunkSink sink(fixture.disguised.cols());
+      ASSERT_TRUE(pipeline.Run(&source, fixture.noise, &sink).ok());
+      EXPECT_EQ(source.resets(), 2u);
+      EXPECT_EQ(source.served(), 2 * n);
+      EXPECT_EQ(sink.num_records(), n);
+    }
+  }
 }
 
 TEST(StreamingAttackTest, TracingDoesNotPerturbTheNumbers) {
