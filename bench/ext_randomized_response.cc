@@ -10,6 +10,7 @@
 // toward certainty buys utility with privacy and vice versa; θ = 0.5 is
 // perfect privacy and zero utility.
 
+#include <cmath>
 #include <cstdio>
 
 #include "common/stopwatch.h"

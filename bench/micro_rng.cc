@@ -1,12 +1,12 @@
-// Micro-benchmark for the random substrate (PR 3): scalar stats::Rng
-// (mt19937_64 + std:: distributions) vs the Philox counter substrate's
-// batch fills, for Gaussian / uniform / Bernoulli draws and the MVN
-// SampleMatrix path, at n in {1e5, 1e6} draws. Writes BENCH_rng.json so
-// the perf trajectory is checked in.
+// Micro-benchmark for the random substrate: the Philox stream's scalar
+// cursor draws (one Gaussian()/Uniform() call per value) vs its batch
+// fills, for Gaussian / uniform / Bernoulli draws, and per-record
+// SampleRecord vs the MVN SampleMatrix path, at n in {1e5, 1e6} draws.
+// Writes BENCH_rng.json so the perf trajectory is checked in.
 //
 // The binary is also a perf gate: it exits non-zero if the batch
 // Gaussian fill is not at least kMinGaussianSpeedup x faster than the
-// scalar Rng loop at the largest size — CI runs `micro_rng --smoke` next
+// scalar cursor loop at the largest size — CI runs `micro_rng --smoke` next
 // to the linalg/pipeline smokes, so a regression that deoptimizes the
 // substrate (or silently knocks dispatch down to the scalar engine on
 // SIMD hardware) fails the build.
@@ -27,13 +27,12 @@
 #include "common/stopwatch.h"
 #include "stats/mvn.h"
 #include "stats/philox.h"
-#include "stats/rng.h"
 
 namespace randrecon {
 namespace bench {
 namespace {
 
-/// The CI gate: batch Gaussian fill must beat the scalar Rng loop by at
+/// The CI gate: batch Gaussian fill must beat the scalar cursor loop by at
 /// least this factor on every machine the bench runs on.
 constexpr double kMinGaussianSpeedup = 4.0;
 
@@ -128,8 +127,7 @@ int main(int argc, char** argv) {
     std::vector<double> warm(sizes.back());
     stats::Philox gen(1);
     gen.FillGaussian(warm.data(), warm.size());
-    stats::Rng rng(1);
-    for (size_t i = 0; i < 1000; ++i) warm[i % warm.size()] = rng.Gaussian();
+    for (size_t i = 0; i < 1000; ++i) warm[i % warm.size()] = gen.Gaussian();
   }
 
   for (size_t n : sizes) {
@@ -138,7 +136,7 @@ int main(int argc, char** argv) {
     const std::string suffix = "/" + std::to_string(n);
     std::vector<double> buffer(n);
     std::vector<uint8_t> bits(n);
-    stats::Rng rng(static_cast<uint64_t>(seed.value()));
+    stats::Philox rng(static_cast<uint64_t>(seed.value()));
     stats::Philox gen(static_cast<uint64_t>(seed.value()));
 
     const bench::Comparison gaussian = bench::Compare(
@@ -169,11 +167,11 @@ int main(int argc, char** argv) {
     bench::Report(&results, "bernoulli" + suffix, draws, bernoulli);
 
     // MVN records: m = 32 attributes, n/32 rows, so both sides consume n
-    // Gaussian draws; the factor product is the same blocked kernel in
-    // both, isolating the generation substrate.
+    // Gaussian draws: one SampleRecord (m-element fill + matvec) per row
+    // vs one SampleMatrix (one fill + one blocked Z·Aᵀ product).
     const size_t m = 32;
     const size_t rows = n / m;
-    stats::Rng cov_rng(99);
+    stats::Philox cov_rng(99);
     linalg::Matrix g = cov_rng.GaussianMatrix(m, m);
     linalg::Matrix cov(m, m);
     for (size_t i = 0; i < m; ++i) {
@@ -190,7 +188,9 @@ int main(int argc, char** argv) {
     }
     const bench::Comparison sample_matrix = bench::Compare(
         reps,
-        [&] { sampler.value().SampleMatrix(rows, &rng); },
+        [&] {
+          for (size_t i = 0; i < rows; ++i) sampler.value().SampleRecord(&rng);
+        },
         [&] { sampler.value().SampleMatrix(rows, &gen); });
     bench::Report(&results, "sample_matrix" + suffix, static_cast<double>(rows),
                   sample_matrix);

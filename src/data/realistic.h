@@ -10,7 +10,7 @@
 
 #include "common/result.h"
 #include "data/dataset.h"
-#include "stats/rng.h"
+#include "stats/philox.h"
 
 namespace randrecon {
 namespace data {
@@ -32,7 +32,7 @@ struct LatentFactorSpec {
 /// normal factors. Fails with InvalidArgument on inconsistent shapes.
 Result<Dataset> GenerateLatentFactorTable(const LatentFactorSpec& spec,
                                           size_t num_records,
-                                          stats::Rng* rng);
+                                          stats::Philox* rng);
 
 /// The implied covariance of a latent-factor model:
 /// L Lᵀ + diag(idiosyncratic²).

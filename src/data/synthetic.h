@@ -14,7 +14,6 @@
 #include "common/result.h"
 #include "data/dataset.h"
 #include "stats/philox.h"
-#include "stats/rng.h"
 
 namespace randrecon {
 namespace data {
@@ -37,18 +36,12 @@ struct SyntheticDataset {
   linalg::Vector mean;          ///< The mean used.
 };
 
-/// Runs the §7.1 recipe. Fails with InvalidArgument on empty/negative
-/// eigenvalues or a mean of the wrong length.
+/// Runs the §7.1 recipe: the basis and then the n x m mvnrnd draw
+/// (MultivariateNormalSampler::SampleMatrix) both come from `rng`. Fails
+/// with InvalidArgument on empty/negative eigenvalues or a mean of the
+/// wrong length.
 Result<SyntheticDataset> GenerateSpectrumDataset(
-    const SyntheticDatasetSpec& spec, size_t num_records, stats::Rng* rng);
-
-/// Batch-substrate variant for large populations: the orthogonal basis
-/// still comes from the scalar `rng` (Gram–Schmidt is m x m and cheap),
-/// but the n x m mvnrnd draw runs through the vectorized counter
-/// substrate (MultivariateNormalSampler::SampleMatrix over `gen`).
-Result<SyntheticDataset> GenerateSpectrumDataset(
-    const SyntheticDatasetSpec& spec, size_t num_records, stats::Rng* rng,
-    stats::Philox* gen);
+    const SyntheticDatasetSpec& spec, size_t num_records, stats::Philox* rng);
 
 /// Builds the two-level spectrum used by every experiment: the first
 /// `num_principal` eigenvalues equal `principal_value`, the remaining
@@ -88,7 +81,7 @@ struct MixtureDataset {
 Result<MixtureDataset> GenerateGaussianMixtureDataset(
     const linalg::Matrix& cluster_means,
     const linalg::Vector& within_cluster_eigenvalues, size_t num_records,
-    stats::Rng* rng);
+    stats::Philox* rng);
 
 }  // namespace data
 }  // namespace randrecon

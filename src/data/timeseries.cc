@@ -19,7 +19,7 @@ double Ar1Autocovariance(const Ar1Spec& spec, size_t lag) {
 }
 
 Result<linalg::Vector> GenerateAr1Series(const Ar1Spec& spec, size_t length,
-                                         stats::Rng* rng) {
+                                         stats::Philox* rng) {
   if (std::fabs(spec.coefficient) >= 1.0) {
     return Status::InvalidArgument(
         "GenerateAr1Series: |coefficient| must be < 1 for stationarity");

@@ -60,7 +60,7 @@ core::AttackSuite FigureAttacks(const CommonConfig& common,
 Result<std::map<std::string, double>> RunIndependentNoiseTrial(
     const linalg::Vector& spectrum, const CommonConfig& common,
     uint64_t seed) {
-  stats::Rng rng(seed);
+  stats::Philox rng(seed);
   data::SyntheticDatasetSpec spec;
   spec.eigenvalues = spectrum;
   RR_ASSIGN_OR_RETURN(
@@ -274,7 +274,7 @@ Result<ExperimentResult> RunFigure4(const Figure4Config& config) {
     std::map<std::string, double> rmse_sums;
     double dissimilarity_sum = 0.0;
     for (size_t trial = 0; trial < config.common.num_trials; ++trial) {
-      stats::Rng rng(DeriveSeed(config.common.seed, point_index, trial));
+      stats::Philox rng(DeriveSeed(config.common.seed, point_index, trial));
       data::SyntheticDatasetSpec spec;
       spec.eigenvalues = data_spectrum;
       RR_ASSIGN_OR_RETURN(

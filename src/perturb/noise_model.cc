@@ -28,8 +28,7 @@ NoiseModel NoiseModel::IndependentGaussian(size_t num_attributes,
   linalg::Vector diag(num_attributes, stddev * stddev);
   linalg::Matrix covariance = linalg::Matrix::Diagonal(diag);
   return NoiseModel(false, std::move(covariance),
-                    GaussianMarginals(linalg::Matrix::Diagonal(diag)),
-                    /*identical_marginals=*/true);
+                    GaussianMarginals(linalg::Matrix::Diagonal(diag)));
 }
 
 Result<NoiseModel> NoiseModel::Independent(
@@ -54,8 +53,7 @@ Result<NoiseModel> NoiseModel::Independent(
   for (size_t j = 0; j < num_attributes; ++j) {
     marginals.push_back(per_attribute->Clone());
   }
-  return NoiseModel(false, std::move(covariance), std::move(marginals),
-                    /*identical_marginals=*/true);
+  return NoiseModel(false, std::move(covariance), std::move(marginals));
 }
 
 Result<NoiseModel> NoiseModel::CorrelatedGaussian(linalg::Matrix covariance) {
@@ -74,16 +72,12 @@ Result<NoiseModel> NoiseModel::CorrelatedGaussian(linalg::Matrix covariance) {
     }
   }
   auto marginals = GaussianMarginals(covariance);
-  // Correlated noise is sampled jointly, not marginal-by-marginal, so the
-  // identical-marginals fast path stays off even for equal variances.
-  return NoiseModel(true, std::move(covariance), std::move(marginals),
-                    /*identical_marginals=*/false);
+  return NoiseModel(true, std::move(covariance), std::move(marginals));
 }
 
 NoiseModel::NoiseModel(const NoiseModel& other)
     : correlated_(other.correlated_),
-      covariance_(other.covariance_),
-      identical_marginals_(other.identical_marginals_) {
+      covariance_(other.covariance_) {
   marginals_.reserve(other.marginals_.size());
   for (const auto& marginal : other.marginals_) {
     marginals_.push_back(marginal->Clone());
@@ -94,7 +88,6 @@ NoiseModel& NoiseModel::operator=(const NoiseModel& other) {
   if (this == &other) return *this;
   correlated_ = other.correlated_;
   covariance_ = other.covariance_;
-  identical_marginals_ = other.identical_marginals_;
   marginals_.clear();
   marginals_.reserve(other.marginals_.size());
   for (const auto& marginal : other.marginals_) {
@@ -113,13 +106,6 @@ bool NoiseModel::HasUniformVariance(double tol) const {
 const stats::ScalarDistribution& NoiseModel::Marginal(size_t j) const {
   RR_CHECK_LT(j, marginals_.size());
   return *marginals_[j];
-}
-
-bool NoiseModel::SupportsBatchSampling() const {
-  for (const auto& marginal : marginals_) {
-    if (!marginal->SupportsBatchSampling()) return false;
-  }
-  return !marginals_.empty();
 }
 
 void NoiseModel::SampleMarginalSliceAt(size_t j, const stats::Philox& stream,

@@ -64,16 +64,6 @@ class NoiseModel {
   /// pointwise fR evaluations.
   const stats::ScalarDistribution& Marginal(size_t j) const;
 
-  /// Batch entry point: true when every marginal implements the
-  /// counter-substrate SampleSliceAt (Gaussian/uniform/Laplace noise do;
-  /// arbitrary custom distributions may not).
-  bool SupportsBatchSampling() const;
-
-  /// True when all attributes share one marginal distribution (the case
-  /// for both Independent factories today). The batch noise path uses
-  /// this to fill whole record blocks with a single contiguous slice.
-  bool HasIdenticalMarginals() const { return identical_marginals_; }
-
   /// Fills out[0..n) with elements [elem_begin, elem_begin + n) of
   /// marginal j's canonical sequence over `stream` (see
   /// ScalarDistribution::SampleSliceAt).
@@ -83,17 +73,14 @@ class NoiseModel {
 
  private:
   NoiseModel(bool correlated, linalg::Matrix covariance,
-             std::vector<std::unique_ptr<stats::ScalarDistribution>> marginals,
-             bool identical_marginals)
+             std::vector<std::unique_ptr<stats::ScalarDistribution>> marginals)
       : correlated_(correlated),
         covariance_(std::move(covariance)),
-        marginals_(std::move(marginals)),
-        identical_marginals_(identical_marginals) {}
+        marginals_(std::move(marginals)) {}
 
   bool correlated_ = false;
   linalg::Matrix covariance_;
   std::vector<std::unique_ptr<stats::ScalarDistribution>> marginals_;
-  bool identical_marginals_ = false;
 };
 
 }  // namespace perturb

@@ -11,24 +11,22 @@
 namespace randrecon {
 namespace perturb {
 
-void RandomizationScheme::AddNoiseAt(const stats::Philox& /*base*/,
-                                     uint64_t /*record_begin*/,
-                                     size_t /*rows*/,
-                                     linalg::Matrix* /*chunk*/,
-                                     const ParallelOptions& /*options*/) const {
-  RR_CHECK(false)
-      << "AddNoiseAt called on a scheme without batch noise support";
+linalg::Matrix RandomizationScheme::GenerateNoise(size_t num_records,
+                                                  stats::Philox* gen) const {
+  linalg::Matrix noise(num_records, num_attributes(), 0.0);
+  AddNoiseAt(gen->Substream(gen->Next64()), 0, num_records, &noise);
+  return noise;
 }
 
 Result<data::Dataset> RandomizationScheme::Disguise(
-    const data::Dataset& original, stats::Rng* rng) const {
+    const data::Dataset& original, stats::Philox* gen) const {
   if (original.num_attributes() != num_attributes()) {
     return Status::InvalidArgument(
         "Disguise: dataset has " + std::to_string(original.num_attributes()) +
         " attributes, scheme expects " + std::to_string(num_attributes()));
   }
   linalg::Matrix disguised = original.records();
-  const linalg::Matrix noise = GenerateNoise(original.num_records(), rng);
+  const linalg::Matrix noise = GenerateNoise(original.num_records(), gen);
   disguised += noise;
   return data::Dataset::Create(std::move(disguised),
                                original.attribute_names());
@@ -50,25 +48,10 @@ IndependentNoiseScheme IndependentNoiseScheme::Uniform(size_t num_attributes,
   return IndependentNoiseScheme(std::move(model).value());
 }
 
-linalg::Matrix IndependentNoiseScheme::GenerateNoise(size_t num_records,
-                                                     stats::Rng* rng) const {
-  const size_t m = num_attributes();
-  linalg::Matrix noise(num_records, m);
-  for (size_t i = 0; i < num_records; ++i) {
-    double* row = noise.row_data(i);
-    for (size_t j = 0; j < m; ++j) {
-      row[j] = noise_model_.Marginal(j).Sample(rng);
-    }
-  }
-  return noise;
-}
-
 void IndependentNoiseScheme::AddNoiseAt(const stats::Philox& base,
                                         uint64_t record_begin, size_t rows,
                                         linalg::Matrix* chunk,
                                         const ParallelOptions& options) const {
-  RR_CHECK(SupportsBatchNoise())
-      << "IndependentNoiseScheme: marginals lack batch sampling";
   const size_t m = num_attributes();
   RR_CHECK_EQ(chunk->cols(), m);
   RR_CHECK_LE(rows, chunk->rows());
@@ -127,24 +110,6 @@ Result<CorrelatedGaussianScheme> CorrelatedGaussianScheme::FromEigenstructure(
     }
   }
   return Create(linalg::ComposeFromEigen(noise_eigenvalues, eigenvectors));
-}
-
-linalg::Matrix CorrelatedGaussianScheme::GenerateNoise(size_t num_records,
-                                                       stats::Rng* rng) const {
-  // Deliberately record-by-record, NOT the batched SampleMatrix: the
-  // sequential-mode PerturbingRecordSource calls this once per chunk,
-  // and the blocked GEMM behind SampleMatrix picks different (equally
-  // correct, differently rounded) accumulation paths depending on the
-  // row count — which would break the documented bitwise chunk-size
-  // invariance of the disguised stream. Per-record matvecs keep every
-  // record's bytes independent of the chunking; bulk callers use the
-  // Philox batch paths instead.
-  const size_t m = num_attributes();
-  linalg::Matrix noise(num_records, m);
-  for (size_t i = 0; i < num_records; ++i) {
-    noise.SetRow(i, sampler_.SampleRecord(rng));
-  }
-  return noise;
 }
 
 void CorrelatedGaussianScheme::AddNoiseAt(const stats::Philox& base,

@@ -13,7 +13,7 @@
 #include "data/dataset.h"
 #include "perturb/noise_model.h"
 #include "stats/mvn.h"
-#include "stats/rng.h"
+#include "stats/philox.h"
 
 namespace randrecon {
 namespace perturb {
@@ -26,23 +26,20 @@ class RandomizationScheme {
   /// Number of attributes this scheme was configured for.
   virtual size_t num_attributes() const = 0;
 
-  /// Draws an n x m noise matrix R.
-  virtual linalg::Matrix GenerateNoise(size_t num_records,
-                                       stats::Rng* rng) const = 0;
+  /// Draws an n x m noise matrix R: the first n records of the noise
+  /// stream over gen->Substream(gen->Next64()), i.e. exactly what
+  /// AddNoiseAt adds to a zero chunk.
+  linalg::Matrix GenerateNoise(size_t num_records, stats::Philox* gen) const;
 
-  /// True when AddNoiseAt's counter-based batch path is implemented.
-  virtual bool SupportsBatchNoise() const { return false; }
-
-  /// Batch entry point: adds the noise of the absolute records
-  /// [record_begin, record_begin + rows) of the noise stream derived
-  /// from `base` into the leading rows of `chunk`. The noise of record i
-  /// is a pure function of (base, i): draws come from fixed
-  /// stats::kBatchBlockRows record blocks with counter-derived per-block
-  /// substreams, so chunking and threading never change the stream.
-  /// RR_CHECK-fails unless SupportsBatchNoise().
+  /// Adds the noise of the absolute records [record_begin, record_begin +
+  /// rows) of the noise stream derived from `base` into the leading rows
+  /// of `chunk`. The noise of record i is a pure function of (base, i):
+  /// draws come from fixed stats::kBatchBlockRows record blocks with
+  /// counter-derived per-block substreams, so chunking and threading
+  /// never change the stream.
   virtual void AddNoiseAt(const stats::Philox& base, uint64_t record_begin,
                           size_t rows, linalg::Matrix* chunk,
-                          const ParallelOptions& options = {}) const;
+                          const ParallelOptions& options = {}) const = 0;
 
   /// The public knowledge an adversary has about this scheme's noise.
   virtual const NoiseModel& noise_model() const = 0;
@@ -50,7 +47,7 @@ class RandomizationScheme {
   /// Disguises a dataset: returns Y = X + R. Fails with InvalidArgument
   /// if the dataset's attribute count doesn't match the scheme's.
   Result<data::Dataset> Disguise(const data::Dataset& original,
-                                 stats::Rng* rng) const;
+                                 stats::Philox* gen) const;
 };
 
 /// Independent per-attribute noise (same scalar distribution on each
@@ -67,18 +64,15 @@ class IndependentNoiseScheme final : public RandomizationScheme {
   size_t num_attributes() const override {
     return noise_model_.num_attributes();
   }
-  linalg::Matrix GenerateNoise(size_t num_records,
-                               stats::Rng* rng) const override;
-  bool SupportsBatchNoise() const override {
-    return noise_model_.HasIdenticalMarginals() &&
-           noise_model_.SupportsBatchSampling();
-  }
   void AddNoiseAt(const stats::Philox& base, uint64_t record_begin,
                   size_t rows, linalg::Matrix* chunk,
                   const ParallelOptions& options = {}) const override;
   const NoiseModel& noise_model() const override { return noise_model_; }
 
  private:
+  // Tests build schemes over other marginals (e.g. Laplace) through it.
+  friend class IndependentNoiseSchemeTestPeer;
+
   explicit IndependentNoiseScheme(NoiseModel model)
       : noise_model_(std::move(model)) {}
 
@@ -110,9 +104,6 @@ class CorrelatedGaussianScheme final : public RandomizationScheme {
   size_t num_attributes() const override {
     return noise_model_.num_attributes();
   }
-  linalg::Matrix GenerateNoise(size_t num_records,
-                               stats::Rng* rng) const override;
-  bool SupportsBatchNoise() const override { return true; }
   /// Straddled edge blocks are regenerated in full on every call (the
   /// price of statelessness); prefer chunk sizes >= stats::kBatchBlockRows
   /// when streaming correlated noise.

@@ -174,32 +174,17 @@ Result<size_t> SnapshotRecordSource::NextBlockColumns(
 
 Result<MvnRecordSource> MvnRecordSource::Create(
     const linalg::Vector& mean, const linalg::Matrix& covariance,
-    size_t num_records, uint64_t seed, GeneratorMode mode) {
+    size_t num_records, uint64_t seed) {
   RR_ASSIGN_OR_RETURN(
       stats::MultivariateNormalSampler sampler,
       stats::MultivariateNormalSampler::Create(mean, covariance));
-  return MvnRecordSource(std::move(sampler), num_records, seed, mode);
+  return MvnRecordSource(std::move(sampler), num_records, seed);
 }
 
 Result<size_t> MvnRecordSource::NextChunk(linalg::Matrix* buffer) {
   RR_CHECK_EQ(buffer->cols(), sampler_.dimension())
       << "MvnRecordSource: chunk buffer width mismatch";
   const size_t rows = std::min(buffer->rows(), num_records_ - served_);
-  if (mode_ == GeneratorMode::kCounterBatch) {
-    return NextChunkBatch(buffer, rows);
-  }
-  // Sequential path: draws are strictly record-ordered, so record i
-  // receives the same pseudo-random values no matter how the stream is
-  // chunked.
-  for (size_t i = 0; i < rows; ++i) {
-    buffer->SetRow(i, sampler_.SampleRecord(&rng_));
-  }
-  served_ += rows;
-  return rows;
-}
-
-Result<size_t> MvnRecordSource::NextChunkBatch(linalg::Matrix* buffer,
-                                               size_t rows) {
   constexpr uint64_t kBlock = stats::kBatchBlockRows;
   const size_t m = sampler_.dimension();
   const uint64_t r0 = served_;
@@ -239,39 +224,18 @@ Result<size_t> MvnRecordSource::NextChunkBatch(linalg::Matrix* buffer,
 
 PerturbingRecordSource::PerturbingRecordSource(
     std::unique_ptr<RecordSource> inner,
-    const perturb::RandomizationScheme* scheme, uint64_t seed,
-    GeneratorMode mode)
-    : inner_(std::move(inner)),
-      scheme_(scheme),
-      seed_(seed),
-      mode_(mode),
-      rng_(seed),
-      base_(seed, kNoiseStreamTag) {
+    const perturb::RandomizationScheme* scheme, uint64_t seed)
+    : inner_(std::move(inner)), scheme_(scheme), base_(seed, kNoiseStreamTag) {
   RR_CHECK(inner_ != nullptr) << "PerturbingRecordSource: null inner source";
   RR_CHECK(scheme_ != nullptr) << "PerturbingRecordSource: null scheme";
   RR_CHECK_EQ(inner_->num_attributes(), scheme_->num_attributes())
       << "PerturbingRecordSource: scheme/source width mismatch";
-  if (mode_ == GeneratorMode::kCounterBatch && !scheme_->SupportsBatchNoise()) {
-    mode_ = GeneratorMode::kSequentialRng;
-  }
 }
 
 Result<size_t> PerturbingRecordSource::NextChunk(linalg::Matrix* buffer) {
   RR_ASSIGN_OR_RETURN(const size_t rows, inner_->NextChunk(buffer));
   if (rows == 0) return rows;
-  if (mode_ == GeneratorMode::kCounterBatch) {
-    scheme_->AddNoiseAt(base_, served_, rows, buffer, parallel_);
-    served_ += rows;
-    return rows;
-  }
-  // Noise draws are record-ordered inside GenerateNoise, so the disguised
-  // stream is also chunk-size invariant.
-  const linalg::Matrix noise = scheme_->GenerateNoise(rows, &rng_);
-  for (size_t i = 0; i < rows; ++i) {
-    double* row = buffer->row_data(i);
-    const double* noise_row = noise.row_data(i);
-    for (size_t j = 0; j < noise.cols(); ++j) row[j] += noise_row[j];
-  }
+  scheme_->AddNoiseAt(base_, served_, rows, buffer, parallel_);
   served_ += rows;
   return rows;
 }

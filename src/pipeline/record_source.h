@@ -42,25 +42,10 @@
 #include "linalg/matrix.h"
 #include "perturb/schemes.h"
 #include "stats/mvn.h"
-#include "stats/rng.h"
+#include "stats/philox.h"
 
 namespace randrecon {
 namespace pipeline {
-
-/// How a synthetic source (and the perturbing decorator's noise) draws
-/// its randomness. Both modes are rewindable and chunk-size invariant;
-/// they produce DIFFERENT record values for the same seed.
-enum class GeneratorMode {
-  /// mt19937 stats::Rng, strictly record-ordered scalar draws — the
-  /// small/test path, generation is inherently sequential.
-  kSequentialRng,
-  /// stats::Philox counter substrate: records come from fixed
-  /// stats::kBatchBlockRows blocks with counter-derived per-block
-  /// substreams, generated in parallel (ParallelFor over blocks) with
-  /// vectorized fills. Bitwise identical for every chunk size and
-  /// thread count, and additionally O(1)-seekable.
-  kCounterBatch,
-};
 
 /// Zero-copy columnar block access — the capability mmap'd store-backed
 /// sources expose so columnar consumers (pass-1 moment accumulation) can
@@ -311,46 +296,39 @@ class SnapshotRecordSource final : public RecordSource,
 /// restarts the pseudo-random draw sequence from the seed, so every pass
 /// regenerates identical records without storing any of them.
 ///
-/// In kCounterBatch mode (the default) records are generated in fixed
-/// stats::kBatchBlockRows blocks: full blocks inside a chunk go straight
-/// into the caller's buffer in parallel, edge blocks are generated whole
-/// into a one-block cache and sliced (consecutive small chunks reuse the
-/// cache). Record i is a pure function of (seed, i), so the stream is
-/// bitwise identical for every chunk size and thread count — and also
-/// across Reset(), which costs nothing.
+/// Records are generated in fixed stats::kBatchBlockRows blocks on the
+/// Philox substrate: full blocks inside a chunk go straight into the
+/// caller's buffer in parallel, edge blocks are generated whole into a
+/// one-block cache and sliced (consecutive small chunks reuse the cache).
+/// Record i is a pure function of (seed, i), so the stream is bitwise
+/// identical for every chunk size and thread count — and also across
+/// Reset(), which costs nothing.
 class MvnRecordSource final : public RecordSource {
  public:
   /// Fails like MultivariateNormalSampler::Create (asymmetric /
   /// indefinite covariance, mean length mismatch).
   static Result<MvnRecordSource> Create(
       const linalg::Vector& mean, const linalg::Matrix& covariance,
-      size_t num_records, uint64_t seed,
-      GeneratorMode mode = GeneratorMode::kCounterBatch);
+      size_t num_records, uint64_t seed);
 
   size_t num_attributes() const override { return sampler_.dimension(); }
   Status Reset() override {
-    rng_ = stats::Rng(seed_);
     served_ = 0;
     return Status::OK();
   }
   Result<size_t> NextChunk(linalg::Matrix* buffer) override;
 
-  /// Worker budget for the parallel block generation (kCounterBatch).
+  /// Worker budget for the parallel block generation.
   void set_parallel_options(const ParallelOptions& options) {
     parallel_ = options;
   }
 
  private:
   MvnRecordSource(stats::MultivariateNormalSampler sampler, size_t num_records,
-                  uint64_t seed, GeneratorMode mode)
+                  uint64_t seed)
       : sampler_(std::move(sampler)),
         num_records_(num_records),
-        seed_(seed),
-        mode_(mode),
-        rng_(seed),
         base_(seed, kMvnStreamTag) {}
-
-  Result<size_t> NextChunkBatch(linalg::Matrix* buffer, size_t rows);
 
   /// Stream-id tag separating this source's substrate streams from other
   /// consumers of the same seed (e.g. the perturbing decorator).
@@ -358,9 +336,6 @@ class MvnRecordSource final : public RecordSource {
 
   stats::MultivariateNormalSampler sampler_;
   size_t num_records_;
-  uint64_t seed_;
-  GeneratorMode mode_;
-  stats::Rng rng_;
   stats::Philox base_;
   ParallelOptions parallel_;
   size_t served_ = 0;
@@ -375,30 +350,22 @@ class MvnRecordSource final : public RecordSource {
 /// same disguised records — the attacker's view of a randomized report
 /// stream. `scheme` is borrowed and must outlive the source.
 ///
-/// In kCounterBatch mode (default) the noise of record i is a pure
-/// function of (seed, i) via the scheme's AddNoiseAt batch entry point
-/// (vectorized fills, parallel over fixed blocks). Schemes without batch
-/// support (scheme->SupportsBatchNoise() == false) fall back to the
-/// sequential Rng mode automatically.
+/// The noise of record i is a pure function of (seed, i) via the
+/// scheme's AddNoiseAt (vectorized fills, parallel over fixed blocks).
 class PerturbingRecordSource final : public RecordSource {
  public:
   PerturbingRecordSource(std::unique_ptr<RecordSource> inner,
                          const perturb::RandomizationScheme* scheme,
-                         uint64_t seed,
-                         GeneratorMode mode = GeneratorMode::kCounterBatch);
+                         uint64_t seed);
 
   size_t num_attributes() const override { return inner_->num_attributes(); }
   Status Reset() override {
-    rng_ = stats::Rng(seed_);
     served_ = 0;
     return inner_->Reset();
   }
   Result<size_t> NextChunk(linalg::Matrix* buffer) override;
 
-  /// The generation mode actually in effect (after any fallback).
-  GeneratorMode mode() const { return mode_; }
-
-  /// Worker budget for the parallel noise generation (kCounterBatch).
+  /// Worker budget for the parallel noise generation.
   void set_parallel_options(const ParallelOptions& options) {
     parallel_ = options;
   }
@@ -409,9 +376,6 @@ class PerturbingRecordSource final : public RecordSource {
 
   std::unique_ptr<RecordSource> inner_;
   const perturb::RandomizationScheme* scheme_;
-  uint64_t seed_;
-  GeneratorMode mode_;
-  stats::Rng rng_;
   stats::Philox base_;
   ParallelOptions parallel_;
   size_t served_ = 0;

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "stats/moments.h"
-
 namespace randrecon {
 namespace stats {
 
@@ -53,15 +51,6 @@ Result<double> CorrelationDissimilarityLiteral(const linalg::Matrix& corr_x,
   RR_ASSIGN_OR_RETURN(double sum,
                       OffDiagonalSquaredSum(corr_x, corr_r, &num_offdiag));
   return std::sqrt(sum) / num_offdiag;
-}
-
-Result<double> CorrelationDissimilarityFromData(const linalg::Matrix& x,
-                                                const linalg::Matrix& r) {
-  if (x.cols() != r.cols()) {
-    return Status::InvalidArgument(
-        "CorrelationDissimilarityFromData: attribute count mismatch");
-  }
-  return CorrelationDissimilarity(SampleCorrelation(x), SampleCorrelation(r));
 }
 
 Result<double> DissimilarityToIndependentNoise(const linalg::Matrix& corr_x) {

@@ -30,11 +30,6 @@ Result<double> CorrelationDissimilarity(const linalg::Matrix& corr_x,
 Result<double> CorrelationDissimilarityLiteral(const linalg::Matrix& corr_x,
                                                const linalg::Matrix& corr_r);
 
-/// Definition 8.1 applied to raw record matrices: computes both sample
-/// correlation matrices first.
-Result<double> CorrelationDissimilarityFromData(const linalg::Matrix& x,
-                                                const linalg::Matrix& r);
-
 /// Dissimilarity between `corr_x` and the identity correlation matrix —
 /// i.e. the x-coordinate of the paper's "noise is independent" vertical
 /// line in Figure 4.

@@ -34,23 +34,10 @@ double NormalDistribution::Cdf(double x) const {
   return StandardNormalCdf((x - mean_) / stddev_);
 }
 
-// Base-class batch hook: distributions without a counter-substrate
-// sampler must be routed through the scalar Sample path instead.
-void ScalarDistribution::SampleSliceAt(const Philox& /*stream*/,
-                                       uint64_t /*elem_begin*/,
-                                       double* /*out*/, size_t /*n*/) const {
-  RR_CHECK(false) << ToString()
-                  << " has no batch sampler (SupportsBatchSampling is false)";
-}
-
 void NormalDistribution::SampleSliceAt(const Philox& stream,
                                        uint64_t elem_begin, double* out,
                                        size_t n) const {
   GaussianSliceAt(stream, mean_, stddev_, elem_begin, out, n);
-}
-
-double NormalDistribution::Sample(Rng* rng) const {
-  return rng->Gaussian(mean_, stddev_);
 }
 
 std::string NormalDistribution::ToString() const {
@@ -81,10 +68,6 @@ void UniformDistribution::SampleSliceAt(const Philox& stream,
                                         uint64_t elem_begin, double* out,
                                         size_t n) const {
   UniformSliceAt(stream, lo_, hi_, elem_begin, out, n);
-}
-
-double UniformDistribution::Sample(Rng* rng) const {
-  return rng->Uniform(lo_, hi_);
 }
 
 std::string UniformDistribution::ToString() const {
@@ -125,14 +108,6 @@ void LaplaceDistribution::SampleSliceAt(const Philox& stream,
   }
 }
 
-double LaplaceDistribution::Sample(Rng* rng) const {
-  // Inverse CDF on u ~ Uniform(-0.5, 0.5):
-  // x = µ − b · sgn(u) · ln(1 − 2|u|).
-  const double u = rng->Uniform(-0.5, 0.5);
-  const double sign = u >= 0.0 ? 1.0 : -1.0;
-  return mean_ - scale_ * sign * std::log(1.0 - 2.0 * std::fabs(u));
-}
-
 std::string LaplaceDistribution::ToString() const {
   return "Laplace(" + FormatDouble(mean_, 3) + ", b=" +
          FormatDouble(scale_, 3) + ")";
@@ -140,94 +115,6 @@ std::string LaplaceDistribution::ToString() const {
 
 std::unique_ptr<ScalarDistribution> LaplaceDistribution::Clone() const {
   return std::make_unique<LaplaceDistribution>(mean_, scale_);
-}
-
-Result<MixtureDistribution> MixtureDistribution::Create(
-    std::vector<std::unique_ptr<ScalarDistribution>> components,
-    std::vector<double> weights) {
-  if (components.empty() || components.size() != weights.size()) {
-    return Status::InvalidArgument(
-        "MixtureDistribution: component/weight count mismatch or empty");
-  }
-  double total = 0.0;
-  for (size_t i = 0; i < components.size(); ++i) {
-    if (components[i] == nullptr) {
-      return Status::InvalidArgument("MixtureDistribution: null component");
-    }
-    if (weights[i] <= 0.0) {
-      return Status::InvalidArgument(
-          "MixtureDistribution: weights must be positive");
-    }
-    total += weights[i];
-  }
-  for (double& w : weights) w /= total;
-  return MixtureDistribution(std::move(components), std::move(weights));
-}
-
-MixtureDistribution::MixtureDistribution(const MixtureDistribution& other)
-    : weights_(other.weights_) {
-  components_.reserve(other.components_.size());
-  for (const auto& component : other.components_) {
-    components_.push_back(component->Clone());
-  }
-}
-
-double MixtureDistribution::Pdf(double x) const {
-  double sum = 0.0;
-  for (size_t i = 0; i < components_.size(); ++i) {
-    sum += weights_[i] * components_[i]->Pdf(x);
-  }
-  return sum;
-}
-
-double MixtureDistribution::Cdf(double x) const {
-  double sum = 0.0;
-  for (size_t i = 0; i < components_.size(); ++i) {
-    sum += weights_[i] * components_[i]->Cdf(x);
-  }
-  return sum;
-}
-
-double MixtureDistribution::Sample(Rng* rng) const {
-  double pick = rng->Uniform(0.0, 1.0);
-  for (size_t i = 0; i < components_.size(); ++i) {
-    pick -= weights_[i];
-    if (pick <= 0.0) return components_[i]->Sample(rng);
-  }
-  return components_.back()->Sample(rng);  // Floating-point slack.
-}
-
-double MixtureDistribution::Mean() const {
-  double mean = 0.0;
-  for (size_t i = 0; i < components_.size(); ++i) {
-    mean += weights_[i] * components_[i]->Mean();
-  }
-  return mean;
-}
-
-double MixtureDistribution::Variance() const {
-  // Law of total variance: E[Var] + Var[E].
-  const double mean = Mean();
-  double total = 0.0;
-  for (size_t i = 0; i < components_.size(); ++i) {
-    const double component_mean = components_[i]->Mean();
-    total += weights_[i] * (components_[i]->Variance() +
-                            (component_mean - mean) * (component_mean - mean));
-  }
-  return total;
-}
-
-std::string MixtureDistribution::ToString() const {
-  std::string out = "Mixture(";
-  for (size_t i = 0; i < components_.size(); ++i) {
-    if (i > 0) out += " + ";
-    out += FormatDouble(weights_[i], 2) + "*" + components_[i]->ToString();
-  }
-  return out + ")";
-}
-
-std::unique_ptr<ScalarDistribution> MixtureDistribution::Clone() const {
-  return std::make_unique<MixtureDistribution>(*this);
 }
 
 }  // namespace stats

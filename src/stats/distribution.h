@@ -7,11 +7,8 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "common/result.h"
 #include "stats/philox.h"
-#include "stats/rng.h"
 
 namespace randrecon {
 namespace stats {
@@ -27,20 +24,12 @@ class ScalarDistribution {
   /// Cumulative distribution function at x.
   virtual double Cdf(double x) const = 0;
 
-  /// One random draw.
-  virtual double Sample(Rng* rng) const = 0;
-
-  /// True when SampleSliceAt is implemented — the counter-substrate
-  /// batch path used by the parallel record generators.
-  virtual bool SupportsBatchSampling() const { return false; }
-
   /// Fills out[0..n) with elements [elem_begin, elem_begin + n) of this
   /// distribution's canonical draw sequence over `stream` (a pure
   /// function of stream identity and element index, independent of the
-  /// stream cursor — see stats/philox.h). RR_CHECK-fails unless
-  /// SupportsBatchSampling().
+  /// stream cursor — see stats/philox.h).
   virtual void SampleSliceAt(const Philox& stream, uint64_t elem_begin,
-                             double* out, size_t n) const;
+                             double* out, size_t n) const = 0;
 
   virtual double Mean() const = 0;
   virtual double Variance() const = 0;
@@ -59,8 +48,6 @@ class NormalDistribution final : public ScalarDistribution {
 
   double Pdf(double x) const override;
   double Cdf(double x) const override;
-  double Sample(Rng* rng) const override;
-  bool SupportsBatchSampling() const override { return true; }
   void SampleSliceAt(const Philox& stream, uint64_t elem_begin, double* out,
                      size_t n) const override;
   double Mean() const override { return mean_; }
@@ -81,8 +68,6 @@ class UniformDistribution final : public ScalarDistribution {
 
   double Pdf(double x) const override;
   double Cdf(double x) const override;
-  double Sample(Rng* rng) const override;
-  bool SupportsBatchSampling() const override { return true; }
   void SampleSliceAt(const Philox& stream, uint64_t elem_begin, double* out,
                      size_t n) const override;
   double Mean() const override { return 0.5 * (lo_ + hi_); }
@@ -107,8 +92,6 @@ class LaplaceDistribution final : public ScalarDistribution {
 
   double Pdf(double x) const override;
   double Cdf(double x) const override;
-  double Sample(Rng* rng) const override;
-  bool SupportsBatchSampling() const override { return true; }
   void SampleSliceAt(const Philox& stream, uint64_t elem_begin, double* out,
                      size_t n) const override;
   double Mean() const override { return mean_; }
@@ -120,39 +103,6 @@ class LaplaceDistribution final : public ScalarDistribution {
  private:
   double mean_;
   double scale_;
-};
-
-/// Finite mixture Σ wᵢ · componentᵢ. Used to model multi-modal original
-/// data (e.g. two patient sub-populations) in UDR tests and examples.
-class MixtureDistribution final : public ScalarDistribution {
- public:
-  /// Builds a mixture; weights must be positive and are normalized to
-  /// sum to 1. Fails with InvalidArgument on empty input, a null
-  /// component, or a non-positive weight.
-  static Result<MixtureDistribution> Create(
-      std::vector<std::unique_ptr<ScalarDistribution>> components,
-      std::vector<double> weights);
-
-  MixtureDistribution(const MixtureDistribution& other);
-  MixtureDistribution(MixtureDistribution&&) = default;
-
-  double Pdf(double x) const override;
-  double Cdf(double x) const override;
-  double Sample(Rng* rng) const override;
-  double Mean() const override;
-  double Variance() const override;
-  size_t num_components() const { return components_.size(); }
-  std::string ToString() const override;
-  std::unique_ptr<ScalarDistribution> Clone() const override;
-
- private:
-  MixtureDistribution(
-      std::vector<std::unique_ptr<ScalarDistribution>> components,
-      std::vector<double> weights)
-      : components_(std::move(components)), weights_(std::move(weights)) {}
-
-  std::vector<std::unique_ptr<ScalarDistribution>> components_;
-  std::vector<double> weights_;
 };
 
 /// Standard normal density φ(z) (shared helper).

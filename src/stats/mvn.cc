@@ -58,10 +58,10 @@ Result<MultivariateNormalSampler> MultivariateNormalSampler::CreateZeroMean(
   return Create(linalg::Vector(covariance.rows(), 0.0), covariance);
 }
 
-linalg::Vector MultivariateNormalSampler::SampleRecord(Rng* rng) const {
+linalg::Vector MultivariateNormalSampler::SampleRecord(Philox* gen) const {
   const size_t m = dimension();
   linalg::Vector z(m);
-  for (size_t i = 0; i < m; ++i) z[i] = rng->Gaussian();
+  gen->FillGaussian(z.data(), m);
   linalg::Vector x = factor_ * z;
   for (size_t i = 0; i < m; ++i) x[i] += mean_[i];
   return x;
@@ -107,17 +107,6 @@ void ForEachBatchBlock(
 }
 
 linalg::Matrix MultivariateNormalSampler::SampleMatrix(size_t n,
-                                                       Rng* rng) const {
-  const size_t m = dimension();
-  linalg::Matrix z(n, m);
-  double* zp = z.data();
-  for (size_t i = 0; i < n * m; ++i) zp[i] = rng->Gaussian();
-  linalg::Matrix out(n, m);
-  ApplyFactor(z.data(), factor_, mean_, n, out.data());
-  return out;
-}
-
-linalg::Matrix MultivariateNormalSampler::SampleMatrix(size_t n,
                                                        Philox* gen) const {
   const size_t m = dimension();
   linalg::Matrix z(n, m);
@@ -148,22 +137,6 @@ void MultivariateNormalSampler::SampleBlockSlice(const Philox& base,
   ApplyFactor(z.data(), factor_, mean_, kBatchBlockRows, x.data());
   std::memcpy(out, x.data() + row_begin * m,
               (row_end - row_begin) * m * sizeof(double));
-}
-
-void MultivariateNormalSampler::SampleRecordsAt(
-    const Philox& base, uint64_t record_begin, size_t rows,
-    linalg::Matrix* out, size_t out_row, const ParallelOptions& options) const {
-  if (rows == 0) return;
-  const size_t m = dimension();
-  RR_CHECK_EQ(out->cols(), m) << "SampleRecordsAt: output width mismatch";
-  RR_CHECK_LE(out_row + rows, out->rows());
-  ForEachBatchBlock(
-      record_begin, rows, options, [&](uint64_t b, uint64_t lo, uint64_t hi) {
-        SampleBlockSlice(
-            base, b, static_cast<size_t>(lo - b * kBatchBlockRows),
-            static_cast<size_t>(hi - b * kBatchBlockRows),
-            out->row_data(out_row + static_cast<size_t>(lo - record_begin)));
-      });
 }
 
 }  // namespace stats

@@ -15,14 +15,12 @@
 #include "common/result.h"
 #include "linalg/matrix.h"
 #include "stats/philox.h"
-#include "stats/rng.h"
 
 namespace randrecon {
 namespace stats {
 
 /// Rows per generation block of the counter-based record streams
-/// (MultivariateNormalSampler::SampleRecordsAt and the perturb batch
-/// noise). Block b of a stream always covers records
+/// (pipeline::MvnRecordSource and the randomization schemes' noise). Block b of a stream always covers records
 /// [b * kBatchBlockRows, (b+1) * kBatchBlockRows) and is generated from
 /// Substream(b) as one unit, so any chunk/thread partition of the record
 /// range reproduces identical bytes.
@@ -52,37 +50,21 @@ class MultivariateNormalSampler {
   static Result<MultivariateNormalSampler> CreateZeroMean(
       const linalg::Matrix& covariance);
 
-  /// One record of length m.
-  linalg::Vector SampleRecord(Rng* rng) const;
+  /// One record of length m (m Gaussian elements from gen's cursor).
+  linalg::Vector SampleRecord(Philox* gen) const;
 
-  /// n records as an n x m matrix. Draws the n x m standard-normal block
-  /// Z in the same record order SampleRecord uses, then applies the
-  /// factor as ONE Z·Aᵀ product through the blocked kernels instead of
-  /// per-record matrix-vector math.
-  linalg::Matrix SampleMatrix(size_t n, Rng* rng) const;
-
-  /// Batch-substrate variant: Z comes from gen->FillGaussian (consumes
-  /// n*m Gaussian elements from the cursor), then one Z·Aᵀ.
+  /// n records as an n x m matrix: Z comes from one gen->FillGaussian
+  /// (n*m Gaussian elements from the cursor), then the factor is applied
+  /// as ONE Z·Aᵀ product through the blocked kernels.
   linalg::Matrix SampleMatrix(size_t n, Philox* gen) const;
-
-  /// Deterministic random access into the record stream derived from
-  /// `base`: fills rows [out_row, out_row + rows) of `out` with records
-  /// [record_begin, record_begin + rows). Record i is a pure function of
-  /// (base, i): generation happens in kBatchBlockRows blocks (block b
-  /// from base.Substream(b), straddled edge blocks regenerated in full
-  /// and sliced), so every chunk size and thread count yields bitwise
-  /// identical records. Blocks are generated in parallel via
-  /// ParallelForEach under `options`.
-  void SampleRecordsAt(const Philox& base, uint64_t record_begin, size_t rows,
-                       linalg::Matrix* out, size_t out_row = 0,
-                       const ParallelOptions& options = {}) const;
 
   /// One full generation block: rows [row_begin, row_end) of block
   /// `block_index` of the `base` stream, written to `out` (must span
-  /// row_end - row_begin rows of width m). The block's Z and Z·Aᵀ are
-  /// always computed for all kBatchBlockRows rows regardless of the
-  /// requested slice — that is what makes SampleRecordsAt partition-
-  /// invariant.
+  /// row_end - row_begin rows of width m). Record i of the stream is
+  /// row i % kBatchBlockRows of block i / kBatchBlockRows, a pure
+  /// function of (base, i). The block's Z and Z·Aᵀ are always computed
+  /// for all kBatchBlockRows rows regardless of the requested slice, so
+  /// every chunk size and thread count yields bitwise identical records.
   void SampleBlockSlice(const Philox& base, uint64_t block_index,
                         size_t row_begin, size_t row_end, double* out) const;
 

@@ -615,14 +615,10 @@ Philox Philox::Substream(uint64_t substream_id) const {
                                          (substream_id + 1)));
 }
 
-uint32_t Philox::Next32() {
-  const uint64_t group = pos_ / kWordsPerGroup;
-  if (group != cached_group_) {
-    FillRawWith(ActiveEngines().raw, seed_, stream_, group * kWordsPerGroup,
-                group_words_, kWordsPerGroup);
-    cached_group_ = group;
-  }
-  return group_words_[pos_++ % kWordsPerGroup];
+void Philox::CacheGroup() {
+  cached_group_ = pos_ / kWordsPerGroup;
+  FillRawWith(ActiveEngines().raw, seed_, stream_,
+              cached_group_ * kWordsPerGroup, group_words_, kWordsPerGroup);
 }
 
 uint64_t Philox::Next64() {
@@ -664,6 +660,47 @@ void Philox::FillGaussian(double mean, double stddev, double* out, size_t n) {
 void Philox::FillBernoulli(double p, uint8_t* out, size_t n) {
   BernoulliSliceAt(*this, p, pos_, out, n);
   pos_ += n;
+}
+
+double Philox::Gaussian() {
+  pos_ = (pos_ + 1) & ~uint64_t{1};  // a pair starts on an even word
+  const uint32_t words[2] = {Next32(), Next32()};
+  double z[2];
+  BoxMullerScalarImpl(words, z, 1);  // bitwise the dispatched engine
+  return z[0];
+}
+
+double Philox::Gaussian(double mean, double stddev) {
+  return mean + stddev * Gaussian();
+}
+
+double Philox::Uniform(double lo, double hi) {
+  const double span = hi - lo;
+  return lo + NextUniform() * span;
+}
+
+int64_t Philox::UniformInt(int64_t lo, int64_t hi) {
+  RR_CHECK_LE(lo, hi) << "UniformInt: empty range";
+  const uint64_t span =
+      static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
+  if (span == 0) return static_cast<int64_t>(Next64());  // all 2^64 values
+  // Accept v >= 2^64 mod span: the accepted count is a multiple of span.
+  const uint64_t reject_below = (0 - span) % span;
+  uint64_t v = Next64();
+  while (v < reject_below) v = Next64();
+  return static_cast<int64_t>(static_cast<uint64_t>(lo) + v % span);
+}
+
+linalg::Matrix Philox::GaussianMatrix(size_t rows, size_t cols) {
+  linalg::Matrix m(rows, cols);
+  FillGaussian(m.data(), m.size());
+  return m;
+}
+
+linalg::Vector Philox::GaussianVector(size_t n, double mean, double stddev) {
+  linalg::Vector v(n);
+  FillGaussian(mean, stddev, v.data(), n);
+  return v;
 }
 
 // ---------------------------------------------------------------------------

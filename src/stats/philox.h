@@ -2,12 +2,15 @@
 // "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11 — the Random123 /
 // cuRAND configuration) plus batch sampling kernels.
 //
-// Why a second generator next to stats::Rng? The scalar mt19937 path
-// serves one value per call from a 2.5KB mutable state — fine for tests
-// and small draws, but at n >= 1e6 records sample generation dominates
-// the attack pipeline. A counter-based generator has no sequential
-// state: output word w is a pure function of (seed, stream, w), which
-// buys three things the bulk paths need:
+// This is the library's only generator. Every stochastic component —
+// the §7.1 populations, the perturbation noise, randomized response,
+// the experiment trials — draws from a seeded Philox stream, either
+// through the batch fills and stateless slices below or through the
+// scalar cursor draws (Gaussian(), Uniform(), ...), which return what a
+// one-element fill would, through the fills' own transforms. A
+// counter-based generator has no sequential state: output word w is a
+// pure function of (seed, stream, w), which buys three things the bulk
+// paths need:
 //
 //   * O(1) seeking — any position in any stream can be generated without
 //     producing the values before it;
@@ -39,6 +42,8 @@
 
 #include <cstddef>
 #include <cstdint>
+
+#include "linalg/matrix.h"
 
 namespace randrecon {
 namespace stats {
@@ -80,7 +85,10 @@ class Philox {
   Philox Substream(uint64_t substream_id) const;
 
   /// Next canonical word / two words little-endian.
-  uint32_t Next32();
+  uint32_t Next32() {
+    if (pos_ / kWordsPerGroup != cached_group_) CacheGroup();
+    return group_words_[pos_++ % kWordsPerGroup];
+  }
   uint64_t Next64();
 
   /// Uniform [0, 1) with 53-bit resolution (consumes 2 words; aligns the
@@ -96,14 +104,41 @@ class Philox {
   void FillGaussian(double mean, double stddev, double* out, size_t n);
   void FillBernoulli(double p, uint8_t* out, size_t n);  // 1 w.p. p
 
+  /// Scalar cursor draws, served from the cached group like Next32.
+  /// Each returns exactly what the one-element fill would (a Gaussian
+  /// takes a whole Box–Muller pair and keeps its cosine element) and
+  /// advances the cursor the same way.
+  double Gaussian();
+  double Gaussian(double mean, double stddev);
+  /// Uniform on [lo, hi).
+  double Uniform(double lo, double hi);
+  /// Uniform integer on [lo, hi] inclusive: rejection sampling on
+  /// Next64, so every value is exactly equally likely.
+  int64_t UniformInt(int64_t lo, int64_t hi);
+  /// A seed for a derived generator (e.g. one per trial).
+  uint64_t NextSeed() { return Next64(); }
+
+  /// A rows x cols matrix of i.i.d. N(0, 1) entries (one fill).
+  linalg::Matrix GaussianMatrix(size_t rows, size_t cols);
+  /// A vector of n i.i.d. N(mean, stddev²) entries (one fill).
+  linalg::Vector GaussianVector(size_t n, double mean = 0.0,
+                                double stddev = 1.0);
+
  private:
+  // Stages the group holding the cursor into group_words_.
+  void CacheGroup();
+
   uint64_t seed_ = 0;
   uint64_t stream_ = 0;
   uint64_t pos_ = 0;
-  // Group cache for the scalar Next32 path.
+  // Group cache for Next32 and the scalar cursor draws.
   uint32_t group_words_[kWordsPerGroup];
   uint64_t cached_group_ = ~uint64_t{0};
 };
+
+/// The generator's historical name (stats/rng.h): `Rng rng(seed)` is a
+/// Philox stream over `seed`.
+using Rng = Philox;
 
 // ---------------------------------------------------------------------------
 // Stateless random access. Element e of a canonical per-type sequence is

@@ -6,7 +6,7 @@
 namespace randrecon {
 namespace stats {
 
-linalg::Matrix RandomOrthogonalMatrix(size_t m, Rng* rng) {
+linalg::Matrix RandomOrthogonalMatrix(size_t m, Philox* rng) {
   RR_CHECK_GT(m, 0u);
   constexpr int kMaxAttempts = 8;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {

@@ -7,7 +7,7 @@
 
 #include "common/result.h"
 #include "linalg/matrix.h"
-#include "stats/rng.h"
+#include "stats/philox.h"
 
 namespace randrecon {
 namespace stats {
@@ -15,7 +15,7 @@ namespace stats {
 /// Draws an m x m orthogonal matrix by Gram-Schmidt-orthonormalizing a
 /// matrix of i.i.d. N(0,1) entries, retrying on the (measure-zero, but
 /// floating-point-possible) rank-deficient draw.
-linalg::Matrix RandomOrthogonalMatrix(size_t m, Rng* rng);
+linalg::Matrix RandomOrthogonalMatrix(size_t m, Philox* rng);
 
 }  // namespace stats
 }  // namespace randrecon

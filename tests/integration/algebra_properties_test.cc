@@ -10,7 +10,6 @@
 #include "linalg/eigen.h"
 #include "linalg/lu.h"
 #include "linalg/matrix_util.h"
-#include "linalg/svd.h"
 #include "linalg/vector_ops.h"
 #include "stats/random_orthogonal.h"
 #include "stats/rng.h"
@@ -83,21 +82,6 @@ TEST_P(AlgebraSweep, CholeskyAndLuSolveAgreeOnSpd) {
   const Vector x1 = chol.value().Solve(b);
   const Vector x2 = lu.value().Solve(b);
   for (size_t i = 0; i < m(); ++i) EXPECT_NEAR(x1[i], x2[i], 1e-7);
-}
-
-TEST_P(AlgebraSweep, EigenAndSvdAgreeOnSpdSpectra) {
-  // For SPD A, singular values equal eigenvalues.
-  stats::Rng rng = MakeRng(7);
-  Matrix g = rng.GaussianMatrix(m(), m());
-  Matrix a = Symmetrize(g * g.Transpose());
-  auto eig = SymmetricEigen(a);
-  auto svd = ThinSvd(a);
-  ASSERT_TRUE(eig.ok());
-  ASSERT_TRUE(svd.ok());
-  for (size_t i = 0; i < m(); ++i) {
-    EXPECT_NEAR(svd.value().singular_values[i], eig.value().eigenvalues[i],
-                1e-7 * (1.0 + eig.value().eigenvalues[0]));
-  }
 }
 
 TEST_P(AlgebraSweep, DeterminantMultiplicative) {

@@ -100,33 +100,6 @@ TEST(NoiseModelTest, HasUniformVarianceToleratesTinyDiffs) {
   EXPECT_FALSE(model.value().HasUniformVariance(1e-16));
 }
 
-TEST(NoiseModelTest, BatchSamplingSupportFollowsMarginals) {
-  const NoiseModel gaussian = NoiseModel::IndependentGaussian(3, 1.0);
-  EXPECT_TRUE(gaussian.SupportsBatchSampling());
-  EXPECT_TRUE(gaussian.HasIdenticalMarginals());
-
-  auto uniform = NoiseModel::Independent(
-      std::make_unique<stats::UniformDistribution>(-1.0, 1.0), 2);
-  ASSERT_TRUE(uniform.ok());
-  EXPECT_TRUE(uniform.value().SupportsBatchSampling());
-
-  auto laplace = NoiseModel::Independent(
-      std::make_unique<stats::LaplaceDistribution>(0.0, 2.0), 2);
-  ASSERT_TRUE(laplace.ok());
-  EXPECT_TRUE(laplace.value().SupportsBatchSampling());
-
-  // A mixture has no batch sampler, so the model must say so.
-  std::vector<std::unique_ptr<stats::ScalarDistribution>> parts;
-  parts.push_back(std::make_unique<stats::NormalDistribution>(-1.0, 1.0));
-  parts.push_back(std::make_unique<stats::NormalDistribution>(1.0, 1.0));
-  auto mix = stats::MixtureDistribution::Create(std::move(parts), {1.0, 1.0});
-  ASSERT_TRUE(mix.ok());
-  auto mixture_model = NoiseModel::Independent(
-      std::make_unique<stats::MixtureDistribution>(std::move(mix).value()), 2);
-  ASSERT_TRUE(mixture_model.ok());
-  EXPECT_FALSE(mixture_model.value().SupportsBatchSampling());
-}
-
 TEST(NoiseModelTest, MarginalSliceMatchesDistributionStatistics) {
   const NoiseModel model = NoiseModel::IndependentGaussian(2, 3.0);
   const size_t n = 100000;

@@ -27,18 +27,6 @@ TEST(WarnerSchemeTest, CreateValidation) {
   EXPECT_FALSE(WarnerScheme::Create(0.5).ok());  // Non-invertible channel.
 }
 
-TEST(WarnerSchemeTest, FlipRateMatchesTheta) {
-  stats::Rng rng(401);
-  auto scheme = WarnerScheme::Create(0.7);
-  ASSERT_TRUE(scheme.ok());
-  size_t kept = 0;
-  const size_t n = 50000;
-  for (size_t i = 0; i < n; ++i) {
-    if (scheme.value().Disguise(1, &rng) == 1) ++kept;
-  }
-  EXPECT_NEAR(static_cast<double>(kept) / n, 0.7, 0.01);
-}
-
 TEST(WarnerSchemeTest, ProportionEstimateIsUnbiased) {
   stats::Rng rng(402);
   auto scheme = WarnerScheme::Create(0.75);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "linalg/vector_ops.h"
 #include "stats/moments.h"
 #include "stats/random_orthogonal.h"
+#include "scheme_test_peer.h"
 
 namespace randrecon {
 namespace perturb {
@@ -190,7 +192,6 @@ TEST(Theorem82Test, DisguisedCovarianceIsSumOfParts) {
 
 TEST(SchemesTest, AddNoiseAtMatchesIndependentNoiseStatistics) {
   const auto scheme = IndependentNoiseScheme::Gaussian(3, 2.0);
-  ASSERT_TRUE(scheme.SupportsBatchNoise());
   const size_t n = 60000;
   Matrix chunk(n, 3, 0.0);
   scheme.AddNoiseAt(stats::Philox(17, 0), 0, n, &chunk);
@@ -207,7 +208,6 @@ TEST(SchemesTest, AddNoiseAtIsSplitInvariant) {
   // consecutive-range calls — the chunk-size invariance the perturbing
   // record source builds on.
   const auto scheme = IndependentNoiseScheme::Uniform(2, 1.5);
-  ASSERT_TRUE(scheme.SupportsBatchNoise());
   const stats::Philox base(3, 2);
   const size_t n = 700;
   Matrix whole(n, 2, 0.0);
@@ -231,13 +231,40 @@ TEST(SchemesTest, CorrelatedAddNoiseAtReproducesCovariance) {
   Matrix sigma_r{{4.0, 1.2}, {1.2, 2.0}};
   auto scheme = CorrelatedGaussianScheme::Create(sigma_r);
   ASSERT_TRUE(scheme.ok());
-  ASSERT_TRUE(scheme.value().SupportsBatchNoise());
   const size_t n = 60000;
   Matrix chunk(n, 2, 0.0);
   scheme.value().AddNoiseAt(stats::Philox(23, 0), 0, n, &chunk);
   const Matrix cov = stats::SampleCovariance(chunk);
   EXPECT_LT(linalg::MaxAbsDifference(cov, sigma_r),
             0.05 * linalg::FrobeniusNorm(sigma_r));
+}
+
+TEST(SchemesTest, GenerateNoiseIsAddNoiseAtOverItsDerivedSubstream) {
+  // GenerateNoise is the batch path over gen->Substream(gen->Next64()):
+  // bitwise, for every kind of scheme.
+  auto correlated =
+      CorrelatedGaussianScheme::Create(Matrix{{4.0, 1.2}, {1.2, 2.0}});
+  ASSERT_TRUE(correlated.ok());
+  const IndependentNoiseScheme gaussian = IndependentNoiseScheme::Gaussian(2, 2.0);
+  const IndependentNoiseScheme uniform = IndependentNoiseScheme::Uniform(2, 1.5);
+  const IndependentNoiseScheme laplace = IndependentNoiseSchemeTestPeer::Laplace(2, 0.7);
+  const RandomizationScheme* schemes[] = {&gaussian, &uniform, &laplace,
+                                          &correlated.value()};
+  const size_t n = 3 * stats::kBatchBlockRows + 5;
+  for (const RandomizationScheme* scheme : schemes) {
+    stats::Philox gen(31, 4);
+    stats::Philox replay = gen;
+    const Matrix noise = scheme->GenerateNoise(n, &gen);
+    Matrix expected(n, 2, 0.0);
+    scheme->AddNoiseAt(replay.Substream(replay.Next64()), 0, n, &expected);
+    ASSERT_EQ(noise.rows(), n);
+    EXPECT_EQ(std::memcmp(noise.data(), expected.data(),
+                          noise.size() * sizeof(double)),
+              0)
+        << scheme->noise_model().Marginal(0).ToString();
+    // The cursor moved exactly as the replay's did.
+    EXPECT_EQ(gen.position(), replay.position());
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../perturb/scheme_test_peer.h"
 #include "data/csv.h"
 #include "linalg/matrix_util.h"
 #include "stats/rng.h"
@@ -134,8 +135,7 @@ TEST(MvnRecordSourceTest, BatchModeIsChunkAndThreadInvariant) {
   const size_t n = 1000;  // straddles several generation blocks
   auto make = [&] {
     auto source = MvnRecordSource::Create({0.5, 0.0, -1.0}, covariance, n,
-                                          /*seed=*/42,
-                                          GeneratorMode::kCounterBatch);
+                                          /*seed=*/42);
     EXPECT_TRUE(source.ok()) << source.status().ToString();
     return std::move(source).value();
   };
@@ -154,8 +154,7 @@ TEST(MvnRecordSourceTest, BatchModeIsChunkAndThreadInvariant) {
 
 TEST(MvnRecordSourceTest, BatchModeResetReplaysIdentically) {
   auto source = MvnRecordSource::Create({0.0, 0.0}, Matrix::Identity(2), 517,
-                                        /*seed=*/9,
-                                        GeneratorMode::kCounterBatch);
+                                        /*seed=*/9);
   ASSERT_TRUE(source.ok());
   MvnRecordSource s = std::move(source).value();
   const Matrix first = Drain(&s, 33);
@@ -164,47 +163,31 @@ TEST(MvnRecordSourceTest, BatchModeResetReplaysIdentically) {
   EXPECT_EQ(linalg::MaxAbsDifference(first, second), 0.0);
 }
 
-TEST(MvnRecordSourceTest, SequentialModeStillStreamsRngDraws) {
-  // The legacy mt19937 path stays available (and distinct) for tests
-  // and small runs.
-  auto make = [](GeneratorMode mode) {
-    auto source = MvnRecordSource::Create({0.0, 0.0}, Matrix::Identity(2),
-                                          200, /*seed=*/4, mode);
-    EXPECT_TRUE(source.ok());
-    return std::move(source).value();
-  };
-  MvnRecordSource sequential = make(GeneratorMode::kSequentialRng);
-  const Matrix seq_a = Drain(&sequential, 13);
-  ASSERT_TRUE(sequential.Reset().ok());
-  const Matrix seq_b = Drain(&sequential, 200);
-  EXPECT_EQ(linalg::MaxAbsDifference(seq_a, seq_b), 0.0);
-  MvnRecordSource batch = make(GeneratorMode::kCounterBatch);
-  const Matrix batch_records = Drain(&batch, 200);
-  EXPECT_GT(linalg::MaxAbsDifference(seq_a, batch_records), 0.0);
-}
-
 TEST(PerturbingRecordSourceTest, BatchNoiseIsChunkAndThreadInvariant) {
   stats::Rng rng(5);
   const Matrix data = rng.GaussianMatrix(700, 3);
-  const auto scheme = perturb::IndependentNoiseScheme::Gaussian(3, 1.0);
-  auto make = [&] {
-    return PerturbingRecordSource(std::make_unique<MatrixRecordSource>(&data),
-                                  &scheme, /*seed=*/13,
-                                  GeneratorMode::kCounterBatch);
-  };
-  PerturbingRecordSource reference_source = make();
-  EXPECT_EQ(reference_source.mode(), GeneratorMode::kCounterBatch);
-  const Matrix reference = DrainWithThreads(&reference_source, 64, 1);
-  for (size_t chunk : {size_t{1}, size_t{7}, size_t{64}, size_t{700}}) {
-    for (int threads : {1, 4}) {
-      PerturbingRecordSource source = make();
-      const Matrix streamed = DrainWithThreads(&source, chunk, threads);
-      EXPECT_EQ(linalg::MaxAbsDifference(streamed, reference), 0.0)
-          << "chunk " << chunk << " threads " << threads;
+  const perturb::IndependentNoiseScheme schemes[] = {
+      perturb::IndependentNoiseScheme::Gaussian(3, 1.0),
+      perturb::IndependentNoiseSchemeTestPeer::Laplace(3, 0.8)};
+  for (const auto& scheme : schemes) {
+    auto make = [&] {
+      return PerturbingRecordSource(
+          std::make_unique<MatrixRecordSource>(&data), &scheme, /*seed=*/13);
+    };
+    PerturbingRecordSource reference_source = make();
+    const Matrix reference = DrainWithThreads(&reference_source, 64, 1);
+    for (size_t chunk : {size_t{1}, size_t{7}, size_t{64}, size_t{700}}) {
+      for (int threads : {1, 4}) {
+        PerturbingRecordSource source = make();
+        const Matrix streamed = DrainWithThreads(&source, chunk, threads);
+        EXPECT_EQ(linalg::MaxAbsDifference(streamed, reference), 0.0)
+            << scheme.noise_model().Marginal(0).ToString() << " chunk "
+            << chunk << " threads " << threads;
+      }
     }
+    // And the noise actually perturbed the records.
+    EXPECT_GT(linalg::MaxAbsDifference(reference, data), 0.0);
   }
-  // And the noise actually perturbed the records.
-  EXPECT_GT(linalg::MaxAbsDifference(reference, data), 0.0);
 }
 
 TEST(PerturbingRecordSourceTest, BatchUniformNoiseInvariance) {
@@ -212,13 +195,10 @@ TEST(PerturbingRecordSourceTest, BatchUniformNoiseInvariance) {
   const Matrix data = rng.GaussianMatrix(300, 2);
   const auto scheme = perturb::IndependentNoiseScheme::Uniform(2, 2.0);
   PerturbingRecordSource a(std::make_unique<MatrixRecordSource>(&data),
-                           &scheme, /*seed=*/3,
-                           GeneratorMode::kCounterBatch);
-  EXPECT_EQ(a.mode(), GeneratorMode::kCounterBatch);
+                           &scheme, /*seed=*/3);
   const Matrix one_by_one = Drain(&a, 1);
   PerturbingRecordSource b(std::make_unique<MatrixRecordSource>(&data),
-                           &scheme, /*seed=*/3,
-                           GeneratorMode::kCounterBatch);
+                           &scheme, /*seed=*/3);
   const Matrix all_at_once = Drain(&b, 300);
   EXPECT_EQ(linalg::MaxAbsDifference(one_by_one, all_at_once), 0.0);
 }
@@ -231,83 +211,13 @@ TEST(PerturbingRecordSourceTest, BatchCorrelatedNoiseInvariance) {
   ASSERT_TRUE(scheme.ok());
   auto make = [&] {
     return PerturbingRecordSource(std::make_unique<MatrixRecordSource>(&data),
-                                  &scheme.value(), /*seed=*/21,
-                                  GeneratorMode::kCounterBatch);
+                                  &scheme.value(), /*seed=*/21);
   };
   PerturbingRecordSource a = make();
-  EXPECT_EQ(a.mode(), GeneratorMode::kCounterBatch);
   const Matrix by_17 = Drain(&a, 17);
   PerturbingRecordSource b = make();
   const Matrix by_256 = Drain(&b, 256);
   EXPECT_EQ(linalg::MaxAbsDifference(by_17, by_256), 0.0);
-}
-
-TEST(PerturbingRecordSourceTest, SequentialCorrelatedNoiseCrossesGemmCutoff) {
-  // Regression: GenerateNoise must stay record-by-record in sequential
-  // mode. Routing it through the batched SampleMatrix would flip the
-  // blocked-vs-naive GEMM path with the chunk size (cutoff at
-  // rows*m*m ~ 2^20) and silently break bitwise chunk invariance —
-  // n=2048 x m=32 puts the one-big-chunk drain past that cutoff.
-  const size_t m = 32, n = 2048;
-  stats::Rng cov_rng(99);
-  const Matrix g = cov_rng.GaussianMatrix(m, m);
-  Matrix cov(m, m);
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t j = 0; j < m; ++j) {
-      double dot = 0.0;
-      for (size_t k = 0; k < m; ++k) dot += g(i, k) * g(j, k);
-      cov(i, j) = dot / m + (i == j ? 1.0 : 0.0);
-    }
-  }
-  auto scheme = perturb::CorrelatedGaussianScheme::Create(cov);
-  ASSERT_TRUE(scheme.ok());
-  stats::Rng data_rng(1);
-  const Matrix data = data_rng.GaussianMatrix(n, m);
-  auto make = [&] {
-    return PerturbingRecordSource(std::make_unique<MatrixRecordSource>(&data),
-                                  &scheme.value(), /*seed=*/5,
-                                  GeneratorMode::kSequentialRng);
-  };
-  PerturbingRecordSource small_chunks = make();
-  const Matrix by_64 = Drain(&small_chunks, 64);
-  PerturbingRecordSource one_chunk = make();
-  const Matrix at_once = Drain(&one_chunk, n);
-  EXPECT_EQ(linalg::MaxAbsDifference(by_64, at_once), 0.0);
-}
-
-TEST(PerturbingRecordSourceTest, FallsBackWhenSchemeLacksBatchNoise) {
-  // A scheme whose marginals cannot batch-sample silently downgrades to
-  // the sequential Rng mode and keeps all stream contracts.
-  class NoBatchScheme final : public perturb::RandomizationScheme {
-   public:
-    explicit NoBatchScheme(perturb::IndependentNoiseScheme inner)
-        : inner_(std::move(inner)) {}
-    size_t num_attributes() const override {
-      return inner_.num_attributes();
-    }
-    linalg::Matrix GenerateNoise(size_t num_records,
-                                 stats::Rng* rng) const override {
-      return inner_.GenerateNoise(num_records, rng);
-    }
-    bool SupportsBatchNoise() const override { return false; }
-    const perturb::NoiseModel& noise_model() const override {
-      return inner_.noise_model();
-    }
-
-   private:
-    perturb::IndependentNoiseScheme inner_;
-  };
-  stats::Rng rng(7);
-  const Matrix data = rng.GaussianMatrix(120, 2);
-  const NoBatchScheme scheme(perturb::IndependentNoiseScheme::Gaussian(2, 0.5));
-  PerturbingRecordSource source(std::make_unique<MatrixRecordSource>(&data),
-                                &scheme, /*seed=*/2,
-                                GeneratorMode::kCounterBatch);
-  EXPECT_EQ(source.mode(), GeneratorMode::kSequentialRng);
-  const Matrix first = Drain(&source, 11);
-  ASSERT_TRUE(source.Reset().ok());
-  const Matrix second = Drain(&source, 120);
-  EXPECT_EQ(linalg::MaxAbsDifference(first, second), 0.0);
 }
 
 TEST(PerturbingRecordSourceTest, MvnPlusNoiseEndToEndInvariance) {
@@ -317,12 +227,11 @@ TEST(PerturbingRecordSourceTest, MvnPlusNoiseEndToEndInvariance) {
   const auto scheme = perturb::IndependentNoiseScheme::Gaussian(2, 0.5);
   auto make = [&] {
     auto inner = MvnRecordSource::Create({0.0, 0.0}, covariance, 555,
-                                         /*seed=*/31,
-                                         GeneratorMode::kCounterBatch);
+                                         /*seed=*/31);
     EXPECT_TRUE(inner.ok());
     return PerturbingRecordSource(
         std::make_unique<MvnRecordSource>(std::move(inner).value()), &scheme,
-        /*seed=*/32, GeneratorMode::kCounterBatch);
+        /*seed=*/32);
   };
   PerturbingRecordSource a = make();
   const Matrix ref = Drain(&a, 64);
@@ -331,6 +240,34 @@ TEST(PerturbingRecordSourceTest, MvnPlusNoiseEndToEndInvariance) {
     EXPECT_EQ(linalg::MaxAbsDifference(Drain(&s, chunk), ref), 0.0)
         << "chunk " << chunk;
   }
+}
+
+/// FNV-1a (64-bit) over the raw bytes of `records`.
+uint64_t Fnv1a(const Matrix& records) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(records.data());
+  uint64_t hash = 0xCBF29CE484222325ull;
+  for (size_t i = 0; i < records.size() * sizeof(double); ++i) {
+    hash = (hash ^ bytes[i]) * 0x100000001B3ull;
+  }
+  return hash;
+}
+
+TEST(PerturbingRecordSourceTest, StreamedGeneratorsArePinned) {
+  // Pins the bytes of the streamed MVN -> Gaussian-noise pipeline (the
+  // generators behind every bulk workload). A diagonal covariance keeps
+  // the factor product exact, so the pin holds on every build.
+  const size_t n = 3 * stats::kBatchBlockRows + 5;
+  const Matrix covariance = Matrix::Diagonal({4.0, 1.0, 0.25});
+  auto inner = MvnRecordSource::Create({1.0, -2.0, 0.5}, covariance, n,
+                                       /*seed=*/7);
+  ASSERT_TRUE(inner.ok()) << inner.status().ToString();
+  const auto scheme = perturb::IndependentNoiseScheme::Gaussian(3, 1.0);
+  PerturbingRecordSource source(
+      std::make_unique<MvnRecordSource>(std::move(inner).value()), &scheme,
+      /*seed=*/11);
+  const Matrix records = Drain(&source, 7);
+  ASSERT_EQ(records.rows(), n);
+  EXPECT_EQ(Fnv1a(records), 0x53DCDEC28EAD02BFull);
 }
 
 }  // namespace

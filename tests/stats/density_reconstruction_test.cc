@@ -17,11 +17,11 @@ GridDensity ReconstructFor(const ScalarDistribution& original,
                            const ScalarDistribution& noise, size_t n,
                            uint64_t seed,
                            DensityReconstructionOptions options = {}) {
-  Rng rng(seed);
-  linalg::Vector disguised(n);
-  for (double& y : disguised) {
-    y = original.Sample(&rng) + noise.Sample(&rng);
-  }
+  const Rng rng(seed);
+  linalg::Vector disguised(n), noise_draws(n);
+  original.SampleSliceAt(rng.Substream(0), 0, disguised.data(), n);
+  noise.SampleSliceAt(rng.Substream(1), 0, noise_draws.data(), n);
+  for (size_t i = 0; i < n; ++i) disguised[i] += noise_draws[i];
   auto result = ReconstructDensity(disguised, noise, options);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return result.value();
@@ -79,12 +79,15 @@ TEST(DensityReconstructionTest, RecoversBimodalShape) {
   NormalDistribution left(-4.0, 0.8), right(4.0, 0.8);
   NormalDistribution noise(0.0, 1.0);
   linalg::Vector disguised(6000);
-  for (double& y : disguised) {
+  for (size_t i = 0; i < disguised.size(); ++i) {
     const ScalarDistribution& component =
         rng.Uniform(0.0, 1.0) < 0.5
             ? static_cast<const ScalarDistribution&>(left)
             : static_cast<const ScalarDistribution&>(right);
-    y = component.Sample(&rng) + noise.Sample(&rng);
+    double x, r;
+    component.SampleSliceAt(rng.Substream(1), i, &x, 1);
+    noise.SampleSliceAt(rng.Substream(2), i, &r, 1);
+    disguised[i] = x + r;
   }
   auto result = ReconstructDensity(disguised, noise);
   ASSERT_TRUE(result.ok());

@@ -74,18 +74,6 @@ TEST(DissimilarityTest, RejectsOneByOne) {
       CorrelationDissimilarity(Matrix::Identity(1), Matrix::Identity(1)).ok());
 }
 
-TEST(DissimilarityTest, FromDataMatchesFromCorrelations) {
-  Rng rng(51);
-  Matrix x = rng.GaussianMatrix(500, 4);
-  Matrix r = rng.GaussianMatrix(500, 4);
-  auto from_data = CorrelationDissimilarityFromData(x, r);
-  auto from_corr =
-      CorrelationDissimilarity(SampleCorrelation(x), SampleCorrelation(r));
-  ASSERT_TRUE(from_data.ok());
-  ASSERT_TRUE(from_corr.ok());
-  EXPECT_DOUBLE_EQ(from_data.value(), from_corr.value());
-}
-
 TEST(DissimilarityTest, IndependentNoiseDistance) {
   Matrix corr{{1.0, 0.6}, {0.6, 1.0}};
   auto d = DissimilarityToIndependentNoise(corr);

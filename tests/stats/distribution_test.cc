@@ -56,7 +56,7 @@ TEST(NormalDistributionTest, SampleMoments) {
   NormalDistribution d(-1.0, 0.5);
   Rng rng(13);
   linalg::Vector sample(50000);
-  for (double& v : sample) v = d.Sample(&rng);
+  d.SampleSliceAt(rng, 0, sample.data(), sample.size());
   EXPECT_NEAR(linalg::Mean(sample), -1.0, 0.02);
   EXPECT_NEAR(linalg::Variance(sample), 0.25, 0.01);
 }
@@ -102,8 +102,9 @@ TEST(UniformDistributionTest, CdfPiecewise) {
 TEST(UniformDistributionTest, SamplesStayInRange) {
   UniformDistribution d(-1.0, 1.0);
   Rng rng(14);
-  for (int i = 0; i < 1000; ++i) {
-    const double v = d.Sample(&rng);
+  linalg::Vector sample(1000);
+  d.SampleSliceAt(rng, 0, sample.data(), sample.size());
+  for (const double v : sample) {
     EXPECT_GE(v, -1.0);
     EXPECT_LT(v, 1.0);
   }
@@ -137,7 +138,7 @@ TEST(LaplaceDistributionTest, SampleMoments) {
   LaplaceDistribution d(3.0, 1.5);
   Rng rng(15);
   linalg::Vector sample(80000);
-  for (double& v : sample) v = d.Sample(&rng);
+  d.SampleSliceAt(rng, 0, sample.data(), sample.size());
   EXPECT_NEAR(linalg::Mean(sample), 3.0, 0.05);
   EXPECT_NEAR(linalg::Variance(sample), 4.5, 0.15);
 }
@@ -152,81 +153,11 @@ TEST(LaplaceDistributionDeathTest, RejectsNonPositiveScale) {
   EXPECT_DEATH({ LaplaceDistribution d(0.0, 0.0); }, "positive scale");
 }
 
-std::unique_ptr<ScalarDistribution> MakeBimodal() {
-  std::vector<std::unique_ptr<ScalarDistribution>> parts;
-  parts.push_back(std::make_unique<NormalDistribution>(-3.0, 1.0));
-  parts.push_back(std::make_unique<NormalDistribution>(3.0, 1.0));
-  auto mix = MixtureDistribution::Create(std::move(parts), {1.0, 1.0});
-  EXPECT_TRUE(mix.ok());
-  return std::move(mix).value().Clone();
-}
-
-TEST(MixtureDistributionTest, WeightsAreNormalized) {
-  std::vector<std::unique_ptr<ScalarDistribution>> parts;
-  parts.push_back(std::make_unique<NormalDistribution>(0.0, 1.0));
-  parts.push_back(std::make_unique<NormalDistribution>(10.0, 1.0));
-  auto mix = MixtureDistribution::Create(std::move(parts), {3.0, 1.0});
-  ASSERT_TRUE(mix.ok());
-  EXPECT_NEAR(mix.value().Mean(), 2.5, 1e-12);  // 0.75·0 + 0.25·10.
-}
-
-TEST(MixtureDistributionTest, MomentsOfSymmetricBimodal) {
-  auto mix = MakeBimodal();
-  EXPECT_NEAR(mix->Mean(), 0.0, 1e-12);
-  // Law of total variance: 1 + 9 = 10.
-  EXPECT_NEAR(mix->Variance(), 10.0, 1e-12);
-}
-
-TEST(MixtureDistributionTest, PdfIsWeightedSum) {
-  auto mix = MakeBimodal();
-  NormalDistribution left(-3.0, 1.0), right(3.0, 1.0);
-  for (double x : {-3.0, 0.0, 3.0}) {
-    EXPECT_NEAR(mix->Pdf(x), 0.5 * left.Pdf(x) + 0.5 * right.Pdf(x), 1e-12);
-  }
-}
-
-TEST(MixtureDistributionTest, CdfEndpoints) {
-  auto mix = MakeBimodal();
-  EXPECT_NEAR(mix->Cdf(-50.0), 0.0, 1e-9);
-  EXPECT_NEAR(mix->Cdf(50.0), 1.0, 1e-9);
-  EXPECT_NEAR(mix->Cdf(0.0), 0.5, 1e-9);
-}
-
-TEST(MixtureDistributionTest, SampleMomentsMatch) {
-  auto mix = MakeBimodal();
-  Rng rng(16);
-  linalg::Vector sample(60000);
-  for (double& v : sample) v = mix->Sample(&rng);
-  EXPECT_NEAR(linalg::Mean(sample), 0.0, 0.05);
-  EXPECT_NEAR(linalg::Variance(sample), 10.0, 0.2);
-}
-
-TEST(MixtureDistributionTest, CreateValidation) {
-  EXPECT_FALSE(MixtureDistribution::Create({}, {}).ok());
-  std::vector<std::unique_ptr<ScalarDistribution>> one;
-  one.push_back(std::make_unique<NormalDistribution>(0.0, 1.0));
-  EXPECT_FALSE(MixtureDistribution::Create(std::move(one), {1.0, 2.0}).ok());
-  std::vector<std::unique_ptr<ScalarDistribution>> bad_weight;
-  bad_weight.push_back(std::make_unique<NormalDistribution>(0.0, 1.0));
-  EXPECT_FALSE(MixtureDistribution::Create(std::move(bad_weight), {0.0}).ok());
-  std::vector<std::unique_ptr<ScalarDistribution>> has_null;
-  has_null.push_back(nullptr);
-  EXPECT_FALSE(MixtureDistribution::Create(std::move(has_null), {1.0}).ok());
-}
-
-TEST(MixtureDistributionTest, CloneIsDeep) {
-  auto mix = MakeBimodal();
-  auto clone = mix->Clone();
-  EXPECT_DOUBLE_EQ(clone->Pdf(1.2345), mix->Pdf(1.2345));
-  EXPECT_NE(clone->ToString().find("Mixture"), std::string::npos);
-}
-
 TEST(DistributionBatchTest, SlicesMatchDistributionMoments) {
   const size_t n = 120000;
   std::vector<double> draws(n);
 
   NormalDistribution normal(1.0, 2.0);
-  ASSERT_TRUE(normal.SupportsBatchSampling());
   normal.SampleSliceAt(Philox(2, 0), 0, draws.data(), n);
   double sum = 0.0, sq = 0.0;
   for (double v : draws) { sum += v; sq += v * v; }
@@ -234,7 +165,6 @@ TEST(DistributionBatchTest, SlicesMatchDistributionMoments) {
   EXPECT_NEAR(sq / n - (sum / n) * (sum / n), 4.0, 0.1);
 
   UniformDistribution uniform(-3.0, 1.0);
-  ASSERT_TRUE(uniform.SupportsBatchSampling());
   uniform.SampleSliceAt(Philox(3, 0), 0, draws.data(), n);
   sum = sq = 0.0;
   for (double v : draws) {
@@ -246,7 +176,6 @@ TEST(DistributionBatchTest, SlicesMatchDistributionMoments) {
   EXPECT_NEAR(sq / n - (sum / n) * (sum / n), 16.0 / 12.0, 0.05);
 
   LaplaceDistribution laplace(0.5, 1.5);
-  ASSERT_TRUE(laplace.SupportsBatchSampling());
   laplace.SampleSliceAt(Philox(4, 0), 0, draws.data(), n);
   sum = sq = 0.0;
   for (double v : draws) { sum += v; sq += v * v; }

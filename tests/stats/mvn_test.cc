@@ -134,60 +134,6 @@ TEST(MvnTest, BatchSampleMatrixReproducesMoments) {
   EXPECT_NEAR(sample_cov(1, 1), 2.0, 0.1);
 }
 
-TEST(MvnTest, SampleRecordsAtIsPartitionInvariant) {
-  // Any split of [0, n) into SampleRecordsAt calls — and any thread
-  // count — must assemble the byte-identical record block.
-  Matrix cov{{2.0, 0.5, 0.0}, {0.5, 1.0, 0.25}, {0.0, 0.25, 3.0}};
-  auto sampler = MultivariateNormalSampler::CreateZeroMean(cov);
-  ASSERT_TRUE(sampler.ok());
-  const Philox base(7, 1);
-  const size_t n = 700;  // spans several kBatchBlockRows blocks
-  Matrix whole(n, 3);
-  sampler.value().SampleRecordsAt(base, 0, n, &whole);
-  for (size_t chunk : {size_t{1}, size_t{7}, size_t{64}, size_t{256},
-                       size_t{700}}) {
-    Matrix assembled(n, 3);
-    for (size_t begin = 0; begin < n; begin += chunk) {
-      const size_t rows = std::min(chunk, n - begin);
-      sampler.value().SampleRecordsAt(base, begin, rows, &assembled, begin);
-    }
-    EXPECT_EQ(linalg::MaxAbsDifference(whole, assembled), 0.0)
-        << "chunk " << chunk;
-  }
-  for (int threads : {1, 2, 4}) {
-    ParallelOptions options;
-    options.num_threads = threads;
-    Matrix assembled(n, 3);
-    sampler.value().SampleRecordsAt(base, 0, n, &assembled, 0, options);
-    EXPECT_EQ(linalg::MaxAbsDifference(whole, assembled), 0.0)
-        << "threads " << threads;
-  }
-}
-
-TEST(MvnTest, SampleRecordsAtOffsetWindowsMatch) {
-  auto sampler = MultivariateNormalSampler::CreateZeroMean(Matrix::Identity(2));
-  ASSERT_TRUE(sampler.ok());
-  const Philox base(3, 9);
-  Matrix whole(600, 2);
-  sampler.value().SampleRecordsAt(base, 0, 600, &whole);
-  Matrix window(100, 2);
-  sampler.value().SampleRecordsAt(base, 250, 100, &window);
-  for (size_t i = 0; i < 100; ++i) {
-    for (size_t j = 0; j < 2; ++j) {
-      ASSERT_EQ(window(i, j), whole(250 + i, j)) << i << "," << j;
-    }
-  }
-}
-
-TEST(MvnTest, BatchStreamsWithDifferentSeedsDiffer) {
-  auto sampler = MultivariateNormalSampler::CreateZeroMean(Matrix::Identity(2));
-  ASSERT_TRUE(sampler.ok());
-  Matrix a(10, 2), b(10, 2);
-  sampler.value().SampleRecordsAt(Philox(1, 0), 0, 10, &a);
-  sampler.value().SampleRecordsAt(Philox(2, 0), 0, 10, &b);
-  EXPECT_GT(linalg::MaxAbsDifference(a, b), 0.0);
-}
-
 }  // namespace
 }  // namespace stats
 }  // namespace randrecon

@@ -1,6 +1,8 @@
 #include "stats/rng.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -78,43 +80,77 @@ TEST(RngTest, GaussianMatrixShapeAndVariance) {
   EXPECT_NEAR(sumsq / n, 1.0, 0.05);
 }
 
-// Golden sequences captured from the pre-refactor implementation (one
-// std::*_distribution constructed per call). The hoisted-member versions
-// must reproduce them exactly — the distributions are invoked with
-// per-call params, which libstdc++ evaluates identically — so any future
-// change that silently shifts the stream fails here.
-TEST(RngTest, UniformSequenceIsPinned) {
-  const double expected[] = {
-      0.63200178678470786,   3.0597911939485858,   6.8828510817776891,
-      4.8632211292230378,    -0.57592446939916764, -0.54859935700065554,
-      7.0095977758651458,    0.40445403192185836,
-  };
-  Rng rng(123);
-  for (double value : expected) {
-    EXPECT_DOUBLE_EQ(rng.Uniform(-2.5, 7.5), value);
+// Rng is the Philox stream, and its scalar draws return what one-element
+// fills would: draw i is an element of the canonical slice sequence, bit
+// for bit.
+TEST(RngTest, GaussianDrawsAreCanonicalSliceElements) {
+  // Each scalar Gaussian consumes a whole Box–Muller pair and keeps its
+  // cosine element, so draw i is slice element 2i.
+  Rng rng(7);
+  double slice[32];
+  GaussianSliceAt(Philox(7), 0, slice, 32);
+  for (int i = 0; i < 16; ++i) {
+    const double draw = rng.Gaussian();
+    EXPECT_EQ(std::memcmp(&draw, &slice[2 * i], sizeof(double)), 0) << i;
   }
 }
 
-TEST(RngTest, UniformIntSequenceIsPinned) {
-  const int64_t expected[] = {818, 483, 263, 582, 44, 554, 636, 975};
-  Rng rng(123);
-  for (int i = 0; i < 8; ++i) {
-    rng.Uniform(-2.5, 7.5);  // burn the same engine draws as the capture
-  }
-  for (int64_t value : expected) {
-    EXPECT_EQ(rng.UniformInt(-10, 1000), value);
+TEST(RngTest, UniformDrawsAreCanonicalSliceElements) {
+  Rng rng(7);
+  double slice[16];
+  UniformSliceAt(Philox(7), -2.5, 7.5, 0, slice, 16);
+  for (int i = 0; i < 16; ++i) {
+    const double draw = rng.Uniform(-2.5, 7.5);
+    EXPECT_EQ(std::memcmp(&draw, &slice[i], sizeof(double)), 0) << i;
   }
 }
 
 TEST(RngTest, InterleavedDrawSequenceIsPinned) {
-  // Gaussian/uniform/int draws interleave through one engine; pinned so
-  // the member distributions provably share state the same way.
+  // Gaussian/uniform/int/seed draws interleave through one cursor;
+  // golden values of the canonical Philox sequence.
   Rng rng(77);
-  EXPECT_DOUBLE_EQ(rng.Gaussian(), -0.038488214895025831);
-  EXPECT_DOUBLE_EQ(rng.Uniform(0.0, 1.0), 0.19394006643474851);
-  EXPECT_EQ(rng.UniformInt(0, 99), 99);
-  EXPECT_DOUBLE_EQ(rng.Gaussian(2.0, 3.0), -2.7885196466109816);
-  EXPECT_EQ(rng.NextSeed(), 10989009113194292687ull);
+  EXPECT_EQ(rng.Gaussian(), 1.7750480769313883);
+  EXPECT_EQ(rng.Uniform(0.0, 1.0), 0.014624036872991297);
+  EXPECT_EQ(rng.UniformInt(0, 99), 96);
+  EXPECT_EQ(rng.Gaussian(2.0, 3.0), 2.6315299811613002);
+  EXPECT_EQ(rng.UniformInt(-10, 1000), 217);
+  EXPECT_EQ(rng.NextSeed(), 7288445693524829327ull);
+  EXPECT_EQ(rng.Uniform(-1.0, 1.0), -0.94934100792262544);
+}
+
+TEST(RngTest, UniformIntCoversWidthPowerOfTwoPlusOne) {
+  // Widths 2^k + 1 sit just above a power of two, where rejection does
+  // the most work: every value of [-4, 4] appears about equally often.
+  Rng rng(21);
+  int counts[9] = {0};
+  for (int i = 0; i < 9000; ++i) {
+    const int64_t v = rng.UniformInt(-4, 4);  // width 2^3 + 1
+    ASSERT_GE(v, -4);
+    ASSERT_LE(v, 4);
+    ++counts[v + 4];
+  }
+  for (int c : counts) EXPECT_NEAR(c, 1000, 150);
+  // Width 2^63 + 1: about half of all 64-bit words are rejected, and the
+  // accepted draws still split evenly around the midpoint.
+  const int64_t half = int64_t{1} << 62;
+  int below = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const int64_t v = rng.UniformInt(-half, half);
+    ASSERT_GE(v, -half);
+    ASSERT_LE(v, half);
+    below += v < 0 ? 1 : 0;
+  }
+  EXPECT_NEAR(below, 2000, 200);
+  // Width 3·2^62: a plain Next64() % width would give the lowest third
+  // of the range half of the mass; rejection gives it a third.
+  const int64_t lo = std::numeric_limits<int64_t>::min();  // -2^63
+  int low_third = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const int64_t v = rng.UniformInt(lo, half - 1);  // lo + 3·2^62 - 1
+    ASSERT_LE(v, half - 1);
+    low_third += v < -half ? 1 : 0;
+  }
+  EXPECT_NEAR(low_third, 4000 / 3, 120);
 }
 
 TEST(RngTest, NextSeedProducesIndependentStreams) {
