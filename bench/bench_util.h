@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/build_info.h"
 #include "common/flags.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -47,9 +48,12 @@ inline std::string JsonEscape(const std::string& s) {
 }  // namespace internal
 
 /// Writes a machine-readable benchmark report:
-///   {"bench": ..., "config": {...}, "results": [{"name": ...,
-///    "elapsed_seconds": ..., "records_per_second": ..., <metrics>}]}
-/// so successive PRs can track a perf trajectory from checked-in files.
+///   {"bench": ..., "build": {...}, "config": {...},
+///    "results": [{"name": ..., "elapsed_seconds": ...,
+///    "records_per_second": ..., <metrics>}]}
+/// so successive changes can track a perf trajectory from checked-in
+/// files. "build" is BuildInfoJson(): every file names the commit, flags
+/// and SIMD level of the binary that produced it.
 inline Status WriteBenchJson(const std::string& path,
                              const std::string& bench_name,
                              const BenchConfig& config,
@@ -65,6 +69,7 @@ inline Status WriteBenchJson(const std::string& path,
     return std::string(buffer);
   };
   out << "{\n  \"bench\": \"" << internal::JsonEscape(bench_name) << "\",\n";
+  out << "  \"build\": " << BuildInfoJson() << ",\n";
   out << "  \"config\": {";
   for (size_t i = 0; i < config.size(); ++i) {
     if (i > 0) out << ", ";

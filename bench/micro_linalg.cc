@@ -1,14 +1,18 @@
-// Micro-benchmark for the blocked/parallel kernel layer (PR 1): times the
-// pre-PR naive loops against the kernels they were replaced by — dense
-// matmul, sample covariance, symmetric Jacobi eigendecomposition — at
-// m in {64, 256, 512}, and writes BENCH_linalg.json so every future PR
-// has a perf trajectory to compare against.
+// Micro-benchmark for the blocked/parallel kernel layer: times the naive
+// loops against the kernels they were replaced by — dense matmul, sample
+// covariance, symmetric Jacobi eigendecomposition at m in {64, 256, 512},
+// and the per-chunk Gram reduction of pass 1 (GramAtAChunk) on
+// 4096-record chunks m in {8, 16, 32, 64} wide — and writes
+// BENCH_linalg.json so every future change has a perf trajectory to
+// compare against.
 //
-// The "naive" implementations below are verbatim copies of the seed
-// code paths: the i-k-j operator* loop, the column-pair SampleCovariance
-// loop over bounds-checked operator(), and the Jacobi sweep with a full
-// off-diagonal rescan per sweep. Keep them frozen — they are the
-// baseline the acceptance numbers are measured against.
+// The "naive" implementations below are verbatim copies of the code
+// paths the kernels replaced: the i-k-j operator* loop, the column-pair
+// SampleCovariance loop over bounds-checked operator(), the Jacobi sweep
+// with a full off-diagonal rescan per sweep, and the plain row-sequential
+// column-pair Gram loop that narrow chunks ran before the register-tiled
+// kernel. Keep them frozen — they are the baseline the acceptance numbers
+// are measured against.
 //
 // Flags: --smoke=true     small sizes / single rep (CI)
 //        --seed=N         RNG seed (default 7)
@@ -76,6 +80,20 @@ Matrix NaiveSampleCovariance(const Matrix& data) {
     }
   }
   return cov;
+}
+
+/// The plain column-pair chunk Gram loop (upper triangle, records in
+/// order); GramAtAChunk's narrow path must match it bit for bit.
+void NaiveGramChunk(const double* a, size_t rows, size_t m, double* partial) {
+  std::fill(partial, partial + m * m, 0.0);
+  for (size_t i = 0; i < rows; ++i) {
+    const double* row = a + i * m;
+    for (size_t p = 0; p < m; ++p) {
+      const double v = row[p];
+      double* partial_row = partial + p * m;
+      for (size_t q = p; q < m; ++q) partial_row[q] += v * row[q];
+    }
+  }
 }
 
 double NaiveOffDiagonalSquaredSum(const Matrix& a) {
@@ -190,25 +208,26 @@ Comparison TimePair(int reps, const NaiveFn& naive_fn,
   return comparison;
 }
 
-void Record(std::vector<BenchResult>* results, const std::string& op, size_t m,
-            double work_records, const Comparison& comparison) {
+void Record(std::vector<BenchResult>* results, const std::string& op,
+            const std::string& shape, double work_records,
+            const Comparison& comparison) {
   BenchResult naive;
-  naive.name = op + "/" + std::to_string(m) + "/naive";
+  naive.name = op + "/" + shape + "/naive";
   naive.elapsed_seconds = comparison.naive_seconds;
   naive.records_per_second = work_records / comparison.naive_seconds;
   results->push_back(naive);
 
   BenchResult kernel;
-  kernel.name = op + "/" + std::to_string(m) + "/kernel";
+  kernel.name = op + "/" + shape + "/kernel";
   kernel.elapsed_seconds = comparison.kernel_seconds;
   kernel.records_per_second = work_records / comparison.kernel_seconds;
   kernel.metrics.emplace_back("speedup", comparison.speedup);
   kernel.metrics.emplace_back("max_abs_diff", comparison.max_abs_diff);
   results->push_back(kernel);
 
-  std::printf("%-14s m=%4zu  naive %9.4fs  kernel %9.4fs  speedup %6.2fx  "
+  std::printf("%-11s %-8s naive %9.6fs  kernel %9.6fs  speedup %6.2fx  "
               "maxdiff %.2e\n",
-              op.c_str(), m, comparison.naive_seconds,
+              op.c_str(), shape.c_str(), comparison.naive_seconds,
               comparison.kernel_seconds, comparison.speedup,
               comparison.max_abs_diff);
 }
@@ -254,7 +273,8 @@ int main(int argc, char** argv) {
           reps, [&] { naive_out = bench::NaiveMatMul(a, b); },
           [&] { kernel_out = linalg::kernels::MatMul(a, b); });
       comparison.max_abs_diff = linalg::MaxAbsDifference(naive_out, kernel_out);
-      bench::Record(&results, "matmul", m, static_cast<double>(m), comparison);
+      bench::Record(&results, "matmul", std::to_string(m),
+                    static_cast<double>(m), comparison);
     }
 
     // Sample covariance over n = 4m records.
@@ -266,8 +286,8 @@ int main(int argc, char** argv) {
           reps, [&] { naive_cov = bench::NaiveSampleCovariance(data); },
           [&] { kernel_cov = stats::SampleCovariance(data); });
       comparison.max_abs_diff = linalg::MaxAbsDifference(naive_cov, kernel_cov);
-      bench::Record(&results, "covariance", m, static_cast<double>(n),
-                    comparison);
+      bench::Record(&results, "covariance", std::to_string(m),
+                    static_cast<double>(n), comparison);
     }
 
     // Symmetric eigendecomposition of a random SPD matrix.
@@ -292,14 +312,39 @@ int main(int argc, char** argv) {
                                      kernel_eig.value().eigenvalues[i]));
       }
       comparison.max_abs_diff = max_eval_diff;
-      bench::Record(&results, "eigen", m, static_cast<double>(m), comparison);
+      bench::Record(&results, "eigen", std::to_string(m),
+                    static_cast<double>(m), comparison);
     }
+  }
+
+  // Pass 1's per-block reduction: one full kGramChunkRows-record chunk.
+  // At m = 16 this is every StreamingMoments block of the repo benchmark.
+  for (size_t m : smoke.value() ? std::vector<size_t>{8, 16}
+                                : std::vector<size_t>{8, 16, 32, 64}) {
+    const size_t rows = linalg::kernels::kGramChunkRows;
+    const Matrix data = rng.GaussianMatrix(rows, m);
+    Matrix naive_partial(m, m), kernel_partial(m, m);
+    bench::Comparison comparison = bench::TimePair(
+        smoke.value() ? 20 : 200,
+        [&] {
+          bench::NaiveGramChunk(data.data(), rows, m, naive_partial.data());
+        },
+        [&] {
+          linalg::kernels::GramAtAChunk(data.data(), rows, m,
+                                        kernel_partial.data());
+        });
+    comparison.max_abs_diff =
+        linalg::MaxAbsDifference(naive_partial, kernel_partial);
+    bench::Record(&results, "gram",
+                  std::to_string(rows) + "x" + std::to_string(m),
+                  static_cast<double>(rows), comparison);
   }
 
   const bench::BenchConfig config = {
       {"smoke", smoke.value() ? "true" : "false"},
       {"seed", std::to_string(seed.value())},
       {"covariance_records", "4m"},
+      {"narrow_gram_width", std::to_string(linalg::kernels::kNarrowGramWidth)},
       {"threads_env", std::getenv("RANDRECON_THREADS")
                           ? std::getenv("RANDRECON_THREADS")
                           : "auto"},

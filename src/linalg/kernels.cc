@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/check.h"
@@ -47,6 +48,15 @@ constexpr size_t kNc = 2048;
 constexpr size_t kBlockedFlopCutoff = size_t{1} << 20;
 // Engage the thread pool only when there is enough work to amortize it.
 constexpr size_t kParallelFlopCutoff = size_t{8} << 20;
+
+// Output rows per pass of the narrow Gram kernel: kGramMr x 2 vector
+// accumulators plus the two column vectors and a broadcast fit the
+// register file (16 of 32 zmm; 12 of 16 ymm/xmm).
+#if defined(__AVX512F__)
+constexpr size_t kGramMr = 8;
+#else
+constexpr size_t kGramMr = 6;
+#endif
 
 /// Packs rows [row0, row0+mc) x depth [k0, k0+kc) of an m x k operand into
 /// kMr-row panels: panel p holds rows [p*kMr, (p+1)*kMr), laid out
@@ -144,42 +154,136 @@ template <bool a_trans, bool b_trans>
 void GemmBlocked(const double* a, size_t lda, const double* b, size_t ldb,
                  double* c, size_t m, size_t k, size_t n,
                  const ParallelOptions& options, bool upper_only = false) {
+  // Pack buffers are left uninitialised: PackA/PackB write every entry
+  // (zero padding included) that MicroKernel reads for the current kc.
   const size_t nc_max = std::min(kNc, (n + kNr - 1) / kNr * kNr);
-  std::vector<double> bpack(nc_max * kKc);
+  std::unique_ptr<double[]> bpack(new double[nc_max * kKc]);
   const size_t num_iblocks = (m + kMc - 1) / kMc;
 
   ParallelOptions block_options = options;
   if (m * k * n < kParallelFlopCutoff) block_options.num_threads = 1;
 
+  // One A-pack buffer per task, allocated once for every (k0, j0) block;
+  // task t owns the contiguous i-blocks [t·B/T, (t+1)·B/T).
+  const size_t num_tasks = EffectiveThreadCount(block_options, num_iblocks);
+  const size_t apack_size = (std::min(kMc, m) + kMr - 1) / kMr * kMr * kKc;
+  std::unique_ptr<double[]> apacks(new double[num_tasks * apack_size]);
+
   for (size_t k0 = 0; k0 < k; k0 += kKc) {
     const size_t kc = std::min(kKc, k - k0);
     for (size_t j0 = 0; j0 < n; j0 += kNc) {
       const size_t nc = std::min(kNc, n - j0);
-      PackB<b_trans>(b, ldb, k0, j0, kc, nc, bpack.data());
+      PackB<b_trans>(b, ldb, k0, j0, kc, nc, bpack.get());
       ParallelFor(
-          0, num_iblocks,
-          [&](size_t ib_begin, size_t ib_end) {
-            std::vector<double> apack(kMc * kKc);
-            for (size_t ib = ib_begin; ib < ib_end; ++ib) {
-              const size_t i0 = ib * kMc;
-              const size_t mc = std::min(kMc, m - i0);
-              PackA<a_trans>(a, lda, i0, k0, mc, kc, apack.data());
-              for (size_t p = 0; p < mc; p += kMr) {
-                const size_t pr = std::min(kMr, mc - p);
-                const double* ap = apack.data() + (p / kMr) * kKc * kMr;
-                for (size_t q = 0; q < nc; q += kNr) {
-                  const size_t qn = std::min(kNr, nc - q);
-                  // Tile columns [j0+q, j0+q+qn) all below row i0+p → the
-                  // whole tile is strictly lower-triangle; skip it.
-                  if (upper_only && j0 + q + qn <= i0 + p) continue;
-                  const double* bp = bpack.data() + (q / kNr) * kKc * kNr;
-                  MicroKernel(ap, bp, kc, c + (i0 + p) * n + j0 + q, n, pr,
-                              qn);
+          0, num_tasks,
+          [&](size_t task_begin, size_t task_end) {
+            for (size_t task = task_begin; task < task_end; ++task) {
+              double* apack = apacks.get() + task * apack_size;
+              const size_t ib_end = (task + 1) * num_iblocks / num_tasks;
+              for (size_t ib = task * num_iblocks / num_tasks; ib < ib_end;
+                   ++ib) {
+                const size_t i0 = ib * kMc;
+                const size_t mc = std::min(kMc, m - i0);
+                PackA<a_trans>(a, lda, i0, k0, mc, kc, apack);
+                for (size_t p = 0; p < mc; p += kMr) {
+                  const size_t pr = std::min(kMr, mc - p);
+                  const double* ap = apack + (p / kMr) * kKc * kMr;
+                  for (size_t q = 0; q < nc; q += kNr) {
+                    const size_t qn = std::min(kNr, nc - q);
+                    // Tile columns [j0+q, j0+q+qn) all below row i0+p →
+                    // the whole tile is strictly lower-triangle; skip it.
+                    if (upper_only && j0 + q + qn <= i0 + p) continue;
+                    const double* bp = bpack.get() + (q / kNr) * kKc * kNr;
+                    MicroKernel(ap, bp, kc, c + (i0 + p) * n + j0 + q, n, pr,
+                                qn);
+                  }
                 }
               }
             }
           },
           block_options);
+    }
+  }
+}
+
+/// Stores an R x width tile of accumulated Gram entries, tile(r, u), at
+/// partial(p0 + r, q0 + u), keeping only the upper triangle (q >= p) so
+/// the zeroed strict lower triangle stays zero.
+template <size_t R, typename Tile>
+void StoreGramTile(const Tile& tile, size_t width, size_t m, size_t p0,
+                   size_t q0, double* partial) {
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t u = 0; u < width; ++u) {
+      if (q0 + u >= p0 + r) partial[(p0 + r) * m + q0 + u] = tile(r, u);
+    }
+  }
+}
+
+/// Rows [p0, p0 + R) of the narrow Gram kernel: partial(p, q) for q >= p
+/// over all `rows` records of the row-major rows x m chunk `a`. Each pass
+/// holds an R x (2 vectors) accumulator tile starting at column q0 = p0
+/// and sweeps the records in order, so every element is the same
+/// sequential multiply-add chain from +0.0 as the plain column-pair loop.
+/// Columns that do not fill two vectors take a one-vector pass, and
+/// those that do not fill one vector a scalar pass, in the same order.
+template <size_t R>
+void NarrowGramRows(const double* a, size_t rows, size_t m, size_t p0,
+                    double* partial) {
+  size_t q0 = p0;
+  for (; q0 + kNr <= m; q0 += kNr) {
+    vreal acc[R][2] = {};
+    for (size_t i = 0; i < rows; ++i) {
+      const double* row = a + i * m;
+      vreal b0, b1;
+      __builtin_memcpy(&b0, row + q0, sizeof(vreal));
+      __builtin_memcpy(&b1, row + q0 + kVecLen, sizeof(vreal));
+      for (size_t r = 0; r < R; ++r) {
+        const double av = row[p0 + r];
+        acc[r][0] += av * b0;
+        acc[r][1] += av * b1;
+      }
+    }
+    StoreGramTile<R>(
+        [&](size_t r, size_t u) { return acc[r][u / kVecLen][u % kVecLen]; },
+        kNr, m, p0, q0, partial);
+  }
+  if (q0 + kVecLen <= m) {
+    vreal acc[R] = {};
+    for (size_t i = 0; i < rows; ++i) {
+      const double* row = a + i * m;
+      vreal b0;
+      __builtin_memcpy(&b0, row + q0, sizeof(vreal));
+      for (size_t r = 0; r < R; ++r) acc[r] += row[p0 + r] * b0;
+    }
+    StoreGramTile<R>([&](size_t r, size_t u) { return acc[r][u]; }, kVecLen,
+                     m, p0, q0, partial);
+    q0 += kVecLen;
+  }
+  if (q0 < m) {
+    const size_t width = m - q0;  // < kVecLen
+    double acc[R][kVecLen] = {};
+    for (size_t i = 0; i < rows; ++i) {
+      const double* row = a + i * m;
+      for (size_t r = 0; r < R; ++r) {
+        const double av = row[p0 + r];
+        for (size_t u = 0; u < width; ++u) acc[r][u] += av * row[q0 + u];
+      }
+    }
+    StoreGramTile<R>([&](size_t r, size_t u) { return acc[r][u]; }, width, m,
+                     p0, q0, partial);
+  }
+}
+
+/// Runs NarrowGramRows<R> for the final `pr` (< kGramMr) output rows
+/// starting at p0, picking the tile height at compile time.
+template <size_t R>
+void NarrowGramLastRows(const double* a, size_t rows, size_t m, size_t p0,
+                        size_t pr, double* partial) {
+  if constexpr (R > 0) {
+    if (pr == R) {
+      NarrowGramRows<R>(a, rows, m, p0, partial);
+    } else {
+      NarrowGramLastRows<R - 1>(a, rows, m, p0, pr, partial);
     }
   }
 }
@@ -238,18 +342,15 @@ void GramAtAChunk(const double* a, size_t rows, size_t m, double* partial,
   if (m == 0) return;
   std::memset(partial, 0, m * m * sizeof(double));
   if (rows == 0) return;
-  if (m * m * rows < kBlockedFlopCutoff) {
-    // Column-pair accumulation exploiting symmetry (the loop
-    // stats::SampleCovariance used to run inline). No zero-skip: a 0.0
-    // factor must still multiply (and so propagate) a NaN/Inf partner.
-    for (size_t i = 0; i < rows; ++i) {
-      const double* row = a + i * m;
-      for (size_t p = 0; p < m; ++p) {
-        const double v = row[p];
-        double* partial_row = partial + p * m;
-        for (size_t q = p; q < m; ++q) partial_row[q] += v * row[q];
-      }
+  if (m <= kNarrowGramWidth) {
+    // Register-tiled row outer products, kGramMr output rows per pass.
+    // No zero-skip: a 0.0 factor must still multiply (and so propagate)
+    // a NaN/Inf partner.
+    size_t p0 = 0;
+    for (; p0 + kGramMr <= m; p0 += kGramMr) {
+      NarrowGramRows<kGramMr>(a, rows, m, p0, partial);
     }
+    NarrowGramLastRows<kGramMr - 1>(a, rows, m, p0, m - p0, partial);
     return;
   }
   // partial = aᵀ · a through the blocked driver, syrk-style: only the

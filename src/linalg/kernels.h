@@ -8,10 +8,11 @@
 // common/parallel.h once the operand sizes justify waking the pool.
 //
 // Layout of the layer:
-//   * Pointer kernels (MatMul, MatMulABt, GramAtA, TransposeInto): the
-//     actual blocked implementations. Small problems fall through to the
-//     plain loops the kernels replaced, so tiny matrices never pay
-//     packing overhead.
+//   * Pointer kernels (MatMul, MatMulABt, GramAtA, GramAtAChunk,
+//     TransposeInto): the actual blocked implementations. Small products
+//     fall through to the plain loops the kernels replaced, so tiny
+//     matrices never pay packing overhead; narrow Gram chunks (pass 1's
+//     4096-record blocks) run their own register-tiled kernel.
 //   * Matrix-level wrappers (MatMul, MatMulTransposed, ProjectOntoBasis,
 //     GramMatrix): shape-checked conveniences used by Matrix::operator*,
 //     stats::SampleCovariance and the reconstruction hot paths.
@@ -51,14 +52,28 @@ void MatMulABt(const double* a, const double* b, double* c, size_t m, size_t k,
 /// same accumulator, so streamed and in-memory covariances agree bitwise.
 constexpr size_t kGramChunkRows = 4096;
 
-/// partial(m x m) = a(rows x m)ᵀ · a(rows x m) for ONE record chunk:
-/// fills the upper triangle (p <= q); the strict lower triangle is
-/// UNSPECIFIED (zero on the small-size path, diagonal-straddling tile
-/// spill on the blocked path) — read p <= q only, or mirror it yourself.
-/// `partial` is overwritten. The floating-point accumulation order of
-/// every upper-triangle element is a pure function of (rows, m) —
-/// independent of the thread count — so merging chunk partials in chunk
-/// order is bitwise deterministic.
+/// Widest chunk GramAtAChunk reduces with its narrow register-tiled
+/// kernel; wider chunks take the packed-GEMM driver. On 4096-record
+/// chunks (AVX-512, 2 MiB L2) the narrow kernel is 1.6–9× faster than the
+/// packed driver from 8 to 56 columns and on par at 64, where the chunk
+/// fills L2 (micro_linalg's gram/4096xM rows time the narrow side).
+constexpr size_t kNarrowGramWidth = 64;
+
+/// partial(m x m) = a(rows x m)ᵀ · a(rows x m) for ONE record chunk;
+/// `partial` is overwritten. The path depends on the width m alone:
+///   * m <= kNarrowGramWidth: a register-tiled kernel accumulates row
+///     outer products into the upper triangle. Every element p <= q is
+///     Σᵢ a(i,p)·a(i,q) added in record order from +0.0, the same
+///     sequential multiply-add chain as the plain column-pair loop, and
+///     the strict lower triangle is zero — so the whole partial is
+///     bitwise equal to that loop's.
+///   * wider: the packed-GEMM driver computes the upper block-triangle of
+///     tiles, accumulating the record dimension in fixed 256-record
+///     depth blocks. The strict lower triangle holds diagonal-straddling
+///     tile spill — read p <= q only, or mirror it yourself.
+/// On both paths the accumulation order of every upper-triangle element
+/// is a pure function of (rows, m) — independent of the thread count —
+/// so merging chunk partials in chunk order is bitwise deterministic.
 void GramAtAChunk(const double* a, size_t rows, size_t m, double* partial,
                   const ParallelOptions& options = {});
 

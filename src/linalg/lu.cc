@@ -1,6 +1,7 @@
 #include "linalg/lu.h"
 
 #include <cmath>
+#include <string>
 
 namespace randrecon {
 namespace linalg {
@@ -13,7 +14,6 @@ Result<LuFactorization> LuFactorization::Compute(const Matrix& a) {
   Matrix lu = a;
   std::vector<size_t> perm(m);
   for (size_t i = 0; i < m; ++i) perm[i] = i;
-  int sign = 1;
 
   for (size_t col = 0; col < m; ++col) {
     // Partial pivoting: bring the largest remaining entry in this column
@@ -34,7 +34,6 @@ Result<LuFactorization> LuFactorization::Compute(const Matrix& a) {
     if (pivot_row != col) {
       for (size_t j = 0; j < m; ++j) std::swap(lu(col, j), lu(pivot_row, j));
       std::swap(perm[col], perm[pivot_row]);
-      sign = -sign;
     }
     const double pivot = lu(col, col);
     for (size_t i = col + 1; i < m; ++i) {
@@ -46,7 +45,7 @@ Result<LuFactorization> LuFactorization::Compute(const Matrix& a) {
       }
     }
   }
-  return LuFactorization(std::move(lu), std::move(perm), sign);
+  return LuFactorization(std::move(lu), std::move(perm));
 }
 
 Vector LuFactorization::Solve(const Vector& b) const {
@@ -80,17 +79,6 @@ Matrix LuFactorization::Solve(const Matrix& b) const {
 
 Matrix LuFactorization::Inverse() const {
   return Solve(Matrix::Identity(lu_.rows()));
-}
-
-double LuFactorization::Determinant() const {
-  double det = static_cast<double>(pivot_sign_);
-  for (size_t i = 0; i < lu_.rows(); ++i) det *= lu_(i, i);
-  return det;
-}
-
-Result<Vector> SolveLinearSystem(const Matrix& a, const Vector& b) {
-  RR_ASSIGN_OR_RETURN(LuFactorization lu, LuFactorization::Compute(a));
-  return lu.Solve(b);
 }
 
 Result<Matrix> InvertMatrix(const Matrix& a) {

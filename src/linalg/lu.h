@@ -1,5 +1,5 @@
-// LU factorization with partial pivoting: general square solves, inverses
-// and determinants. The Bayes-estimate reconstructor inverts
+// LU factorization with partial pivoting: general square solves and
+// inverses. The Bayes-estimate reconstructor inverts
 // (Σx⁻¹ + Σr⁻¹)-style matrices that are symmetric but may be produced by
 // user-supplied covariances, so a pivoted general-purpose solver is the
 // safe default.
@@ -30,20 +30,13 @@ class LuFactorization {
   /// A⁻¹ (solves against the identity).
   Matrix Inverse() const;
 
-  /// det(A), including the pivot sign.
-  double Determinant() const;
-
  private:
-  LuFactorization(Matrix lu, std::vector<size_t> perm, int sign)
-      : lu_(std::move(lu)), perm_(std::move(perm)), pivot_sign_(sign) {}
+  LuFactorization(Matrix lu, std::vector<size_t> perm)
+      : lu_(std::move(lu)), perm_(std::move(perm)) {}
 
   Matrix lu_;                 // L (unit diagonal, below) and U (on/above).
   std::vector<size_t> perm_;  // Row permutation: solves use b[perm_[i]].
-  int pivot_sign_;            // +1 / -1 from row swaps, for Determinant().
 };
-
-/// Convenience: solves A x = b in one call (factor + solve).
-Result<Vector> SolveLinearSystem(const Matrix& a, const Vector& b);
 
 /// Convenience: A⁻¹ in one call. Prefer keeping the factorization when
 /// solving repeatedly.

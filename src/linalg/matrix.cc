@@ -1,8 +1,5 @@
 #include "linalg/matrix.h"
 
-#include <sstream>
-
-#include "common/string_util.h"
 #include "linalg/kernels.h"
 
 namespace randrecon {
@@ -102,19 +99,6 @@ Matrix& Matrix::operator*=(double scalar) {
   return *this;
 }
 
-std::string Matrix::ToString(int precision) const {
-  std::ostringstream out;
-  for (size_t i = 0; i < rows_; ++i) {
-    out << "[";
-    for (size_t j = 0; j < cols_; ++j) {
-      if (j > 0) out << ", ";
-      out << FormatDouble((*this)(i, j), precision);
-    }
-    out << "]\n";
-  }
-  return out.str();
-}
-
 Matrix operator+(const Matrix& a, const Matrix& b) {
   Matrix out = a;
   out += b;
@@ -137,7 +121,6 @@ Matrix operator*(const Matrix& a, double scalar) {
   return out;
 }
 
-Matrix operator*(double scalar, const Matrix& a) { return a * scalar; }
 
 Vector operator*(const Matrix& a, const Vector& x) {
   RR_CHECK_EQ(a.cols(), x.size()) << "matvec shape mismatch";

@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -111,9 +110,6 @@ class Matrix {
     return rows_ == other.rows_ && cols_ == other.cols_ && data_ == other.data_;
   }
 
-  /// Human-readable rendering, one row per line (debugging aid).
-  std::string ToString(int precision = 4) const;
-
  private:
   size_t rows_;
   size_t cols_;
@@ -131,7 +127,6 @@ Matrix operator*(const Matrix& a, const Matrix& b);
 
 /// Scalar product.
 Matrix operator*(const Matrix& a, double scalar);
-Matrix operator*(double scalar, const Matrix& a);
 
 /// Matrix-vector product (a.cols() must equal x.size()).
 Vector operator*(const Matrix& a, const Vector& x);

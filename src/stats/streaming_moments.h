@@ -9,7 +9,9 @@
 //
 // Algorithm: records are staged raw into fixed blocks of
 // kernels::kGramChunkRows. When a block is full (or the stream ends), it
-// is centered on its own mean and flushed through kernels::GramAtAChunk;
+// is centered on its own mean and flushed through kernels::GramAtAChunk
+// (up to kernels::kNarrowGramWidth columns a register-tiled kernel that
+// adds the block's records in order, the packed GEMM driver beyond);
 // its (count, mean, scatter) triple is then merged into the running
 // (n_a, µ_a, M_a) with the pairwise update of Chan, Golub & LeVeque
 // ("Algorithms for computing the sample variance", 1983):

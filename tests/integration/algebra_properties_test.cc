@@ -84,24 +84,6 @@ TEST_P(AlgebraSweep, CholeskyAndLuSolveAgreeOnSpd) {
   for (size_t i = 0; i < m(); ++i) EXPECT_NEAR(x1[i], x2[i], 1e-7);
 }
 
-TEST_P(AlgebraSweep, DeterminantMultiplicative) {
-  stats::Rng rng = MakeRng(8);
-  Matrix a = rng.GaussianMatrix(m(), m());
-  Matrix b = rng.GaussianMatrix(m(), m());
-  for (size_t i = 0; i < m(); ++i) {
-    a(i, i) += 3.0;
-    b(i, i) += 3.0;
-  }
-  auto lu_a = LuFactorization::Compute(a);
-  auto lu_b = LuFactorization::Compute(b);
-  auto lu_ab = LuFactorization::Compute(a * b);
-  ASSERT_TRUE(lu_a.ok());
-  ASSERT_TRUE(lu_b.ok());
-  ASSERT_TRUE(lu_ab.ok());
-  const double expected = lu_a.value().Determinant() * lu_b.value().Determinant();
-  EXPECT_NEAR(lu_ab.value().Determinant() / expected, 1.0, 1e-8);
-}
-
 TEST_P(AlgebraSweep, ProjectionMatrixIsIdempotentAndSymmetric) {
   // P = Q̂Q̂ᵀ with orthonormal Q̂ — the operator at the heart of PCA-DR
   // and SF.

@@ -5,7 +5,11 @@
 
 #include "linalg/kernels.h"
 
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -41,6 +45,22 @@ Matrix ReferenceGram(const Matrix& a, double denom) {
     }
   }
   return out;
+}
+
+// The row-sequential column-pair loop GramAtAChunk's narrow path must
+// reproduce bit for bit: each upper-triangle element accumulated over the
+// records in order from +0.0, the strict lower triangle left zero.
+std::vector<double> PlainGramChunk(const double* a, size_t rows, size_t m) {
+  std::vector<double> partial(m * m, 0.0);
+  for (size_t i = 0; i < rows; ++i) {
+    const double* row = a + i * m;
+    for (size_t p = 0; p < m; ++p) {
+      const double v = row[p];
+      double* partial_row = partial.data() + p * m;
+      for (size_t q = p; q < m; ++q) partial_row[q] += v * row[q];
+    }
+  }
+  return partial;
 }
 
 class KernelsEquivalenceTest : public ::testing::TestWithParam<size_t> {};
@@ -186,6 +206,47 @@ TEST(KernelsTest, TallSkinnyGramIsExactlySymmetric) {
     for (size_t j = i + 1; j < gram.cols(); ++j) {
       ASSERT_EQ(gram(i, j), gram(j, i)) << "at (" << i << "," << j << ")";
     }
+  }
+}
+
+TEST(KernelsTest, NarrowGramChunkIsBitwisePlainLoop) {
+  // Every width up to 40 covers full and partial row tiles plus the
+  // one-vector and scalar column tails of every SIMD build; the row counts
+  // straddle the old m²·rows = 2^20 blocked cutoff (m = 16 at 4096 rows).
+  std::vector<size_t> widths;
+  for (size_t m = 1; m <= 40; ++m) widths.push_back(m);
+  widths.push_back(kernels::kNarrowGramWidth);
+  stats::Rng rng(53);
+  for (size_t rows : {1, 2, 7, 255, 4095, 4096}) {
+    for (size_t m : widths) {
+      const Matrix data = rng.GaussianMatrix(rows, m);
+      std::vector<double> partial(m * m,
+                                  std::numeric_limits<double>::quiet_NaN());
+      kernels::GramAtAChunk(data.data(), rows, m, partial.data());
+      const std::vector<double> expected =
+          PlainGramChunk(data.data(), rows, m);
+      EXPECT_EQ(std::memcmp(partial.data(), expected.data(),
+                            m * m * sizeof(double)),
+                0)
+          << "rows=" << rows << " m=" << m;
+    }
+  }
+}
+
+TEST(KernelsTest, GramChunkZeroTimesInfIsNaN) {
+  // No zero-skip on either path: a zero column times an Inf partner is
+  // NaN, wherever the pair lands (vector tile, scalar tail, blocked).
+  for (size_t m : {size_t{2}, size_t{13}, size_t{16}, size_t{40},
+                   kernels::kNarrowGramWidth, kernels::kNarrowGramWidth + 1}) {
+    const size_t rows = 300;
+    Matrix data(rows, m, 1.0);
+    for (size_t i = 0; i < rows; ++i) data(i, 0) = 0.0;
+    data(rows / 2, m - 1) = std::numeric_limits<double>::infinity();
+    std::vector<double> partial(m * m);
+    kernels::GramAtAChunk(data.data(), rows, m, partial.data());
+    EXPECT_TRUE(std::isnan(partial[m - 1])) << "m=" << m;
+    EXPECT_TRUE(std::isinf(partial[m * m - 1])) << "m=" << m;
+    EXPECT_EQ(partial[0], 0.0) << "m=" << m;
   }
 }
 

@@ -31,21 +31,6 @@ TEST(LuTest, SolvesSystemNeedingPivoting) {
   EXPECT_NEAR(x[1], 5.0, 1e-12);
 }
 
-TEST(LuTest, DeterminantKnown) {
-  Matrix a{{1, 2}, {3, 4}};
-  auto lu = LuFactorization::Compute(a);
-  ASSERT_TRUE(lu.ok());
-  EXPECT_NEAR(lu.value().Determinant(), -2.0, 1e-12);
-}
-
-TEST(LuTest, DeterminantTracksPivotSign) {
-  // Permutation matrix: determinant -1.
-  Matrix a{{0, 1}, {1, 0}};
-  auto lu = LuFactorization::Compute(a);
-  ASSERT_TRUE(lu.ok());
-  EXPECT_NEAR(lu.value().Determinant(), -1.0, 1e-12);
-}
-
 TEST(LuTest, InverseRoundTrip) {
   stats::Rng rng(3);
   Matrix a = rng.GaussianMatrix(9, 9);
@@ -84,13 +69,6 @@ TEST(LuTest, RejectsSingular) {
 TEST(LuTest, RejectsZeroMatrix) {
   auto lu = LuFactorization::Compute(Matrix(3, 3));
   EXPECT_FALSE(lu.ok());
-}
-
-TEST(LuTest, SolveLinearSystemConvenience) {
-  auto x = SolveLinearSystem(Matrix{{2, 0}, {0, 4}}, {2, 8});
-  ASSERT_TRUE(x.ok());
-  EXPECT_NEAR(x.value()[0], 1.0, 1e-12);
-  EXPECT_NEAR(x.value()[1], 2.0, 1e-12);
 }
 
 TEST(LuTest, InvertMatrixConvenience) {
