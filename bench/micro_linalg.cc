@@ -1,18 +1,21 @@
 // Micro-benchmark for the blocked/parallel kernel layer: times the naive
 // loops against the kernels they were replaced by — dense matmul, sample
 // covariance, symmetric Jacobi eigendecomposition at m in {64, 256, 512},
-// and the per-chunk Gram reduction of pass 1 (GramAtAChunk) on
-// 4096-record chunks m in {8, 16, 32, 64} wide — and writes
-// BENCH_linalg.json so every future change has a perf trajectory to
-// compare against.
+// the per-chunk Gram reduction of pass 1 (GramAtAChunk) on 4096-record
+// chunks m in {8, 16, 32, 64} wide, pass 1's columnar per-block
+// accumulation (StreamingMoments::AccumulateColumns) at the same widths,
+// and small in-memory SampleCovariance calls (256x64, 512x128) — and
+// writes BENCH_linalg.json so every future change has a perf trajectory
+// to compare against.
 //
 // The "naive" implementations below are verbatim copies of the code
 // paths the kernels replaced: the i-k-j operator* loop, the column-pair
 // SampleCovariance loop over bounds-checked operator(), the Jacobi sweep
-// with a full off-diagonal rescan per sweep, and the plain row-sequential
+// with a full off-diagonal rescan per sweep, the plain row-sequential
 // column-pair Gram loop that narrow chunks ran before the register-tiled
-// kernel. Keep them frozen — they are the baseline the acceptance numbers
-// are measured against.
+// kernel, and the element-by-element columnar staging loop that ran
+// before register-transposed tiles. Keep them frozen — they are the
+// baseline the acceptance numbers are measured against.
 //
 // Flags: --smoke=true     small sizes / single rep (CI)
 //        --seed=N         RNG seed (default 7)
@@ -23,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -34,6 +38,7 @@
 #include "linalg/matrix_util.h"
 #include "stats/moments.h"
 #include "stats/rng.h"
+#include "stats/streaming_moments.h"
 
 namespace randrecon {
 namespace bench {
@@ -95,6 +100,123 @@ void NaiveGramChunk(const double* a, size_t rows, size_t m, double* partial) {
     }
   }
 }
+
+/// StreamingMoments' columnar path with the element-by-element staging
+/// loop it ran before register-transposed tiles: records are staged one
+/// by one across the column slices, then each full block is centered,
+/// reduced with GramAtAChunk and merged exactly as the library does.
+/// AccumulateColumns must match it bit for bit.
+class NaiveColumnarMoments {
+ public:
+  explicit NaiveColumnarMoments(size_t m)
+      : m_(m),
+        sums_(m, 0.0),
+        shift_(m, 0.0),
+        mean_(m, 0.0),
+        delta_(m, 0.0),
+        staging_(linalg::kernels::kGramChunkRows * m),
+        partial_(m * m),
+        scatter_(m * m, 0.0) {}
+
+  void AccumulateColumns(const double* const* columns, size_t num_rows) {
+    size_t consumed = 0;
+    while (consumed < num_rows) {
+      const size_t span =
+          std::min(num_rows - consumed,
+                   linalg::kernels::kGramChunkRows - staging_rows_);
+      Stage(columns, consumed, span, shift_.data(), mean_.data(),
+            sums_.data(), delta_.data(),
+            staging_.data() + staging_rows_ * m_);
+      staging_rows_ += span;
+      consumed += span;
+      if (staging_rows_ == linalg::kernels::kGramChunkRows) Flush();
+    }
+    num_records_ += num_rows;
+  }
+
+  Vector means() const {
+    Vector means = sums_;
+    for (double& value : means) value /= static_cast<double>(num_records_);
+    return means;
+  }
+
+  Matrix FinalizeCovariance() {
+    if (staging_rows_ > 0) Flush();
+    Matrix covariance(m_, m_);
+    double* c = covariance.data();
+    std::copy(scatter_.begin(), scatter_.end(), c);
+    for (size_t p = 0; p < m_; ++p) {
+      for (size_t q = p + 1; q < m_; ++q) c[q * m_ + p] = c[p * m_ + q];
+    }
+    for (size_t i = 0; i < covariance.size(); ++i) {
+      c[i] /= static_cast<double>(num_records_);
+    }
+    return covariance;
+  }
+
+ private:
+  void Stage(const double* const* columns, size_t consumed, size_t span,
+             const double* __restrict shift, const double* __restrict mean,
+             double* __restrict sums, double* __restrict moved_sums,
+             double* __restrict staged) const {
+    for (size_t i = 0; i < span; ++i) {
+      double* out = staged + i * m_;
+      for (size_t j = 0; j < m_; ++j) {
+        const double x = columns[j][consumed + i];
+        sums[j] += x;
+        const double moved = (x - shift[j]) - mean[j];
+        out[j] = moved;
+        moved_sums[j] += moved;
+      }
+    }
+  }
+
+  void Flush() {
+    const size_t m = m_;
+    const size_t rows = staging_rows_;
+    double* block = staging_.data();
+    for (double& value : delta_) value /= static_cast<double>(rows);
+    for (size_t i = 0; i < rows; ++i) {
+      double* row = block + i * m;
+      for (size_t j = 0; j < m; ++j) row[j] -= delta_[j];
+    }
+    linalg::kernels::GramAtAChunk(block, rows, m, partial_.data());
+    const double n_a = static_cast<double>(merged_rows_);
+    const double n_b = static_cast<double>(rows);
+    const double n = n_a + n_b;
+    const double weight = n_a * n_b / n;
+    for (size_t p = 0; p < m; ++p) {
+      double* scatter_row = scatter_.data() + p * m;
+      const double* partial_row = partial_.data() + p * m;
+      for (size_t q = p; q < m; ++q) {
+        scatter_row[q] += partial_row[q] + delta_[p] * delta_[q] * weight;
+      }
+    }
+    if (merged_rows_ == 0) {
+      std::copy(delta_.begin(), delta_.end(), shift_.begin());
+      std::fill(mean_.begin(), mean_.end(), 0.0);
+      for (size_t i = 0; i < rows; ++i) {
+        const double* row = block + i * m;
+        for (size_t j = 0; j < m; ++j) mean_[j] += row[j];
+      }
+      for (double& value : mean_) value /= n_b;
+    } else {
+      const double share = n_b / n;
+      for (size_t j = 0; j < m; ++j) mean_[j] += delta_[j] * share;
+    }
+    std::fill(delta_.begin(), delta_.end(), 0.0);
+    merged_rows_ += rows;
+    staging_rows_ = 0;
+  }
+
+  size_t m_;
+  size_t num_records_ = 0;
+  size_t merged_rows_ = 0;
+  Vector sums_, shift_, mean_, delta_;
+  std::vector<double> staging_;
+  size_t staging_rows_ = 0;
+  std::vector<double> partial_, scatter_;
+};
 
 double NaiveOffDiagonalSquaredSum(const Matrix& a) {
   double sum = 0.0;
@@ -338,6 +460,67 @@ int main(int argc, char** argv) {
     bench::Record(&results, "gram",
                   std::to_string(rows) + "x" + std::to_string(m),
                   static_cast<double>(rows), comparison);
+  }
+
+  // Pass 1's columnar per-block step: the mapped block's column slices
+  // staged and merged by AccumulateColumns against the frozen
+  // element-by-element staging loop. Each rep feeds the same cache-hot
+  // block kBlocksPerRep times (so later blocks take the merge path) and
+  // reports time per block; the means and covariance must agree bitwise.
+  constexpr size_t kBlocksPerRep = 8;
+  for (size_t m : smoke.value() ? std::vector<size_t>{8, 16}
+                                : std::vector<size_t>{8, 16, 32, 64}) {
+    const size_t rows = linalg::kernels::kGramChunkRows;
+    const Matrix block = rng.GaussianMatrix(m, rows);  // Row j = column j.
+    std::vector<const double*> columns(m);
+    for (size_t j = 0; j < m; ++j) columns[j] = block.row_data(j);
+    Matrix naive_cov, kernel_cov;
+    linalg::Vector naive_means, kernel_means;
+    bench::Comparison comparison = bench::TimePair(
+        smoke.value() ? 10 : 100,
+        [&] {
+          bench::NaiveColumnarMoments moments(m);
+          for (size_t b = 0; b < kBlocksPerRep; ++b) {
+            moments.AccumulateColumns(columns.data(), rows);
+          }
+          naive_means = moments.means();
+          naive_cov = moments.FinalizeCovariance();
+        },
+        [&] {
+          stats::StreamingMoments moments(m);
+          for (size_t b = 0; b < kBlocksPerRep; ++b) {
+            moments.AccumulateColumns(columns.data(), rows);
+          }
+          kernel_means = moments.means();
+          kernel_cov = moments.FinalizeCovariance();
+        });
+    comparison.naive_seconds /= kBlocksPerRep;
+    comparison.kernel_seconds /= kBlocksPerRep;
+    comparison.max_abs_diff = linalg::MaxAbsDifference(naive_cov, kernel_cov);
+    for (size_t j = 0; j < m; ++j) {
+      comparison.max_abs_diff =
+          std::max(comparison.max_abs_diff,
+                   std::fabs(naive_means[j] - kernel_means[j]));
+    }
+    bench::Record(&results, "moments/columnar",
+                  std::to_string(rows) + "x" + std::to_string(m),
+                  static_cast<double>(rows), comparison);
+  }
+
+  // Small in-memory SampleCovariance calls, where per-call setup (the
+  // accumulator's staging buffer) is visible next to the Gram work.
+  for (const auto& shape : {std::pair<size_t, size_t>{256, 64}, {512, 128}}) {
+    const Matrix data = rng.GaussianMatrix(shape.first, shape.second);
+    Matrix naive_cov, kernel_cov;
+    bench::Comparison comparison = bench::TimePair(
+        smoke.value() ? 10 : 200,
+        [&] { naive_cov = bench::NaiveSampleCovariance(data); },
+        [&] { kernel_cov = stats::SampleCovariance(data); });
+    comparison.max_abs_diff = linalg::MaxAbsDifference(naive_cov, kernel_cov);
+    bench::Record(&results, "covariance",
+                  std::to_string(shape.first) + "x" +
+                      std::to_string(shape.second),
+                  static_cast<double>(shape.first), comparison);
   }
 
   const bench::BenchConfig config = {

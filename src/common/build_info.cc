@@ -23,7 +23,7 @@ namespace {
 
 // Widest SIMD ISA this translation unit was compiled for. The kernels
 // are built with the same global flags, so this matches their tile
-// width (linalg/kernels.h picks its RR_SIMD_BYTES from the same macros).
+// width (linalg/simd.h picks its RR_SIMD_BYTES from the same macros).
 const char* CompiledSimd() {
 #if defined(__AVX512F__)
   return "avx512";

@@ -526,6 +526,11 @@ Result<ColumnStoreReader> ColumnStoreReader::Open(const std::string& path,
         " bytes — truncated file or record-count disagreement");
   }
   reader.block_verified_.assign(reader.num_blocks_, 0);
+  // About two blocks per worker keeps every worker busy through one
+  // look-ahead wave; a serial reader hashes each block as it arrives.
+  const size_t threads =
+      EffectiveThreadCount(options.parallel, reader.num_blocks_);
+  reader.lookahead_blocks_ = threads > 1 ? 2 * threads : 1;
   if (options.eager_verify) {
     // Archival mode: verify the whole data section up front (block-
     // parallel; per-block work is disjoint) so later reads serve from an
@@ -558,6 +563,9 @@ ColumnStoreReader& ColumnStoreReader::operator=(
   options_ = other.options_;
   names_ = std::move(other.names_);
   block_verified_ = std::move(other.block_verified_);
+  lookahead_blocks_ = other.lookahead_blocks_;
+  ahead_begin_ = other.ahead_begin_;
+  ahead_hashes_ = std::move(other.ahead_hashes_);
   other.fd_ = -1;
   other.mapping_ = nullptr;
   return *this;
@@ -582,6 +590,32 @@ size_t ColumnStoreReader::rows_in_block(size_t block) const {
   return std::min(block_rows_, num_records_ - begin);
 }
 
+uint64_t ColumnStoreReader::ComputeBlockHash(size_t block) const {
+  return ColumnStoreHash(block_payload(block),
+                         block_stride_ - sizeof(uint64_t));
+}
+
+bool ColumnStoreReader::HashedAhead(size_t block) const {
+  return block >= ahead_begin_ && block - ahead_begin_ < ahead_hashes_.size();
+}
+
+void ColumnStoreReader::HashAhead(size_t block) {
+  ahead_begin_ = block;
+  ahead_hashes_.resize(std::min(lookahead_blocks_, num_blocks_ - block));
+  // Each task hashes distinct blocks into its own slots; nothing
+  // observable happens here — VerifyBlock reports each block in order.
+  ParallelFor(
+      0, ahead_hashes_.size(),
+      [&](size_t begin, size_t end) {
+        for (size_t slot = begin; slot < end; ++slot) {
+          if (!block_verified_[block + slot]) {
+            ahead_hashes_[slot] = ComputeBlockHash(block + slot);
+          }
+        }
+      },
+      options_.parallel);
+}
+
 Status ColumnStoreReader::VerifyBlock(size_t block) {
   if (block_verified_[block]) {
     m_verify_short_circuits.Add(1);
@@ -591,7 +625,9 @@ Status ColumnStoreReader::VerifyBlock(size_t block) {
   const uint8_t* payload = block_payload(block);
   const size_t payload_bytes = block_stride_ - sizeof(uint64_t);
   const uint64_t stored = LoadU64(payload + payload_bytes);
-  const uint64_t computed = ColumnStoreHash(payload, payload_bytes);
+  const uint64_t computed = HashedAhead(block)
+                                ? ahead_hashes_[block - ahead_begin_]
+                                : ComputeBlockHash(block);
   if (stored != computed) {
     return Status::InvalidArgument(
         StorePrefix(path_) + "block " + std::to_string(block) +
@@ -701,6 +737,7 @@ Result<const double*> ColumnStoreReader::BlockColumn(size_t block,
                                                      size_t column) {
   RR_CHECK(block < num_blocks_ && column < names_.size())
       << "BlockColumn: index out of range";
+  if (!block_verified_[block] && !HashedAhead(block)) HashAhead(block);
   RR_RETURN_NOT_OK(VerifyBlock(block));
   return reinterpret_cast<const double*>(block_payload(block)) +
          column * block_rows_;

@@ -180,11 +180,22 @@ struct ColumnStoreReadOptions {
 /// size implied by the header (which catches both truncation and a
 /// header/row-count disagreement); block checksums are verified lazily,
 /// once, on first touch — or all up front with
-/// ColumnStoreReadOptions::eager_verify. Instances are move-only and
-/// single-threaded (the lazy verification bitmap is unsynchronized
-/// between calls; the block-parallel paths touch disjoint blocks);
-/// concurrent readers should each Open() the file — the kernel shares
-/// the pages.
+/// ColumnStoreReadOptions::eager_verify.
+///
+/// Lazy verification through BlockColumn looks ahead: touching an
+/// unverified block first hashes it and the blocks after it — a window
+/// of about two blocks per worker of options.parallel, one block when
+/// serial — in one ParallelFor, then returns. The look-ahead only
+/// records hashes. Each block still ARRIVES in order when first touched:
+/// only then does store.read_block fire, the stored checksum get
+/// compared, store.blocks_verified count it and its own error return.
+/// So a corrupt block k serves blocks < k first and fails at k with the
+/// serial reader's exact Status, and failpoint hits stay in block order.
+///
+/// Instances are move-only and single-threaded (the lazy verification
+/// bitmap is unsynchronized between calls; the block-parallel paths
+/// touch disjoint blocks); concurrent readers should each Open() the
+/// file — the kernel shares the pages.
 class ColumnStoreReader {
  public:
   /// Maps `path` and validates its header. IoError if the file can't be
@@ -217,7 +228,8 @@ class ColumnStoreReader {
 
   /// Zero-copy pointer to column `column` of block `block` — block-local
   /// row r of that column is ptr[r], valid for rows_in_block(block) rows.
-  /// Verifies the block's checksum on first touch.
+  /// Verifies the block's checksum on first touch, hashing the blocks
+  /// after it ahead in parallel (see the class comment).
   Result<const double*> BlockColumn(size_t block, size_t column);
 
   /// Valid records in `block` (block_rows() except for a final partial).
@@ -236,8 +248,21 @@ class ColumnStoreReader {
  private:
   ColumnStoreReader() = default;
 
-  /// Lazily verifies block `block`'s checksum (docs/FORMAT.md §3).
+  /// Lazily verifies block `block`'s checksum (docs/FORMAT.md §3): fires
+  /// store.read_block, compares the stored checksum against the one
+  /// hashed ahead (or hashes now), counts store.blocks_verified.
   Status VerifyBlock(size_t block);
+
+  /// RRH64 of `block`'s payload as it is mapped now.
+  uint64_t ComputeBlockHash(size_t block) const;
+
+  /// Hashes the unverified blocks among [block, block +
+  /// lookahead_blocks_) in one ParallelFor, replacing the previous
+  /// window. Records hashes only; VerifyBlock compares and reports.
+  void HashAhead(size_t block);
+
+  /// True iff `block` lies in the current look-ahead window.
+  bool HashedAhead(size_t block) const;
 
   /// Verifies every unverified block in [block_begin, block_end) —
   /// block-parallel; on failure returns the LOWEST failing block's error
@@ -264,6 +289,11 @@ class ColumnStoreReader {
   ColumnStoreReadOptions options_;
   std::vector<std::string> names_;
   std::vector<uint8_t> block_verified_;
+  /// BlockColumn's look-ahead window: blocks hashed per wave and the
+  /// window [ahead_begin_, ahead_begin_ + ahead_hashes_.size()).
+  size_t lookahead_blocks_ = 1;
+  size_t ahead_begin_ = 0;
+  std::vector<uint64_t> ahead_hashes_;
 };
 
 /// Writes a whole Dataset as a column store (bitwise-exact f64 values,

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "linalg/simd.h"
 
 namespace randrecon {
 namespace linalg {
@@ -15,25 +16,21 @@ namespace {
 // ---------------------------------------------------------------------------
 // Micro-kernel configuration.
 //
-// The inner loop is written with GCC/Clang vector extensions so one source
-// compiles to whatever SIMD the build enables. The register tile is
-// kMr rows x (2 vectors) columns; sizes are chosen so the accumulator
-// tile plus a couple of working vectors fits the architectural register
-// file (32 zmm / 16 ymm / 16 xmm).
+// The inner loop is written with GCC/Clang vector extensions
+// (linalg/simd.h) so one source compiles to whatever SIMD the build
+// enables. The register tile is kMr rows x (2 vectors) columns; sizes are
+// chosen so the accumulator tile plus a couple of working vectors fits
+// the architectural register file (32 zmm / 16 ymm / 16 xmm).
 // ---------------------------------------------------------------------------
-#if defined(__AVX512F__)
-#define RR_SIMD_BYTES 64
+using simd::kVecLen;
+using simd::vreal;
+
+#if RR_SIMD_BYTES == 64
 constexpr size_t kMr = 6;  // 12 zmm accumulators.
-#elif defined(__AVX__)
-#define RR_SIMD_BYTES 32
-constexpr size_t kMr = 4;  // 8 ymm accumulators.
 #else
-#define RR_SIMD_BYTES 16
-constexpr size_t kMr = 4;  // 8 xmm accumulators.
+constexpr size_t kMr = 4;  // 8 ymm / xmm accumulators.
 #endif
 
-typedef double vreal __attribute__((vector_size(RR_SIMD_BYTES)));
-constexpr size_t kVecLen = RR_SIMD_BYTES / sizeof(double);
 constexpr size_t kNr = 2 * kVecLen;
 
 // Cache blocking: a kKc x kNr B panel slice stays in L1 across the row
@@ -52,7 +49,7 @@ constexpr size_t kParallelFlopCutoff = size_t{8} << 20;
 // Output rows per pass of the narrow Gram kernel: kGramMr x 2 vector
 // accumulators plus the two column vectors and a broadcast fit the
 // register file (16 of 32 zmm; 12 of 16 ymm/xmm).
-#if defined(__AVX512F__)
+#if RR_SIMD_BYTES == 64
 constexpr size_t kGramMr = 8;
 #else
 constexpr size_t kGramMr = 6;

@@ -17,6 +17,43 @@ namespace {
 /// whichever read path the stage takes.
 Failpoint fp_next_chunk("source.next_chunk");
 
+/// Points `columns` at every column of `block` and returns its row count.
+/// The first column's fetch verifies the block checksum; the rest hit the
+/// verified bitmap.
+Result<size_t> FetchBlockColumns(data::ColumnStoreReader* reader,
+                                 size_t block,
+                                 std::vector<const double*>* columns) {
+  const size_t m = reader->num_attributes();
+  columns->resize(m);
+  for (size_t j = 0; j < m; ++j) {
+    RR_ASSIGN_OR_RETURN((*columns)[j], reader->BlockColumn(block, j));
+  }
+  return reader->rows_in_block(block);
+}
+
+/// The block walk of every sharded source: shard by shard, each shard's
+/// blocks in order — the same record order NextChunk serves. Shards'
+/// final blocks may be partial, so global blocks are ragged; consumers
+/// only see per-block row counts, which is all the moment accumulator
+/// needs. ShardedRecordSource and SnapshotRecordSource both walk through
+/// here, so a scheduled snapshot attack and an offline sweep over the
+/// same manifest see the same ragged block sequence by construction.
+Result<size_t> NextShardedBlockColumns(data::ShardedStoreReader* reader,
+                                       size_t* shard, size_t* block,
+                                       std::vector<const double*>* columns) {
+  RR_FAILPOINT(fp_next_chunk);
+  for (; *shard < reader->num_shards(); ++*shard, *block = 0) {
+    RR_ASSIGN_OR_RETURN(data::ColumnStoreReader * store, reader->shard(*shard));
+    if (*block < store->num_blocks()) {
+      RR_ASSIGN_OR_RETURN(const size_t rows,
+                          FetchBlockColumns(store, *block, columns));
+      ++*block;  // Only once served: a failed fetch is retried in place.
+      return rows;
+    }
+  }
+  return size_t{0};
+}
+
 }  // namespace
 
 Result<size_t> MatrixRecordSource::NextChunk(linalg::Matrix* buffer) {
@@ -68,14 +105,8 @@ Result<size_t> ColumnStoreRecordSource::NextBlockColumns(
     std::vector<const double*>* columns) {
   RR_FAILPOINT(fp_next_chunk);
   if (next_block_ == reader_.num_blocks()) return size_t{0};
-  const size_t m = reader_.num_attributes();
-  columns->resize(m);
-  for (size_t j = 0; j < m; ++j) {
-    // The first column's fetch verifies the block checksum; the rest hit
-    // the verified bitmap.
-    RR_ASSIGN_OR_RETURN((*columns)[j], reader_.BlockColumn(next_block_, j));
-  }
-  const size_t rows = reader_.rows_in_block(next_block_);
+  RR_ASSIGN_OR_RETURN(const size_t rows,
+                      FetchBlockColumns(&reader_, next_block_, columns));
   ++next_block_;
   return rows;
 }
@@ -104,30 +135,8 @@ Result<size_t> ShardedRecordSource::NextChunk(linalg::Matrix* buffer) {
 
 Result<size_t> ShardedRecordSource::NextBlockColumns(
     std::vector<const double*>* columns) {
-  // Blocks are enumerated shard by shard, each shard's blocks in order —
-  // the same record order NextChunk serves. Shards' final blocks may be
-  // partial, so global blocks are ragged; consumers only see per-block
-  // row counts, which is all the moment accumulator needs.
-  RR_FAILPOINT(fp_next_chunk);
-  for (;;) {
-    if (block_shard_ == reader_.num_shards()) return size_t{0};
-    RR_ASSIGN_OR_RETURN(data::ColumnStoreReader * shard,
-                        reader_.shard(block_shard_));
-    if (block_in_shard_ == shard->num_blocks()) {
-      ++block_shard_;
-      block_in_shard_ = 0;
-      continue;
-    }
-    const size_t m = shard->num_attributes();
-    columns->resize(m);
-    for (size_t j = 0; j < m; ++j) {
-      RR_ASSIGN_OR_RETURN((*columns)[j],
-                          shard->BlockColumn(block_in_shard_, j));
-    }
-    const size_t rows = shard->rows_in_block(block_in_shard_);
-    ++block_in_shard_;
-    return rows;
-  }
+  return NextShardedBlockColumns(&reader_, &block_shard_, &block_in_shard_,
+                                 columns);
 }
 
 Result<size_t> SnapshotRecordSource::NextChunk(linalg::Matrix* buffer) {
@@ -145,31 +154,8 @@ Result<size_t> SnapshotRecordSource::NextChunk(linalg::Matrix* buffer) {
 
 Result<size_t> SnapshotRecordSource::NextBlockColumns(
     std::vector<const double*>* columns) {
-  // Identical enumeration to ShardedRecordSource::NextBlockColumns —
-  // the bitwise contract between a scheduled snapshot attack and an
-  // offline sweep over the same manifest depends on the two sources
-  // serving the same ragged block sequence.
-  RR_FAILPOINT(fp_next_chunk);
-  data::ShardedStoreReader& reader = snapshot_.store_reader();
-  for (;;) {
-    if (block_shard_ == reader.num_shards()) return size_t{0};
-    RR_ASSIGN_OR_RETURN(data::ColumnStoreReader * shard,
-                        reader.shard(block_shard_));
-    if (block_in_shard_ == shard->num_blocks()) {
-      ++block_shard_;
-      block_in_shard_ = 0;
-      continue;
-    }
-    const size_t m = shard->num_attributes();
-    columns->resize(m);
-    for (size_t j = 0; j < m; ++j) {
-      RR_ASSIGN_OR_RETURN((*columns)[j],
-                          shard->BlockColumn(block_in_shard_, j));
-    }
-    const size_t rows = shard->rows_in_block(block_in_shard_);
-    ++block_in_shard_;
-    return rows;
-  }
+  return NextShardedBlockColumns(&snapshot_.store_reader(), &block_shard_,
+                                 &block_in_shard_, columns);
 }
 
 Result<MvnRecordSource> MvnRecordSource::Create(

@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "linalg/kernels.h"
+#include "linalg/simd.h"
 
 namespace randrecon {
 namespace stats {
@@ -12,26 +13,71 @@ using linalg::kernels::kGramChunkRows;
 
 namespace {
 
-/// Stages records [0, span) into `staged` in merge coordinates,
+using linalg::simd::kVecLen;
+using linalg::simd::vreal;
+
+/// Stages records [row_begin, row_end) x columns [col_begin, col_end)
+/// into `staged` (row-major, m wide) in merge coordinates,
 /// (x − shift) − mean, folding each raw value into `sums` and each moved
 /// value into `moved_sums` — per column, in record order. `load(i, j)`
 /// reads attribute j of record i from the caller's layout; every entry
-/// point shares this loop, so they stage and fold identical bits. The
-/// restrict-qualified pointers let the compiler vectorize across the m
+/// point stages through this loop or through StageColumnTiles, which
+/// performs the same operations, so they stage and fold identical bits.
+/// The restrict-qualified pointers let the compiler vectorize across the
 /// columns of a record (each column's additions stay in record order).
 template <typename Load>
-void StageMoved(size_t span, size_t m, const Load& load,
+void StageMoved(size_t row_begin, size_t row_end, size_t col_begin,
+                size_t col_end, size_t m, const Load& load,
                 const double* __restrict shift, const double* __restrict mean,
                 double* __restrict sums, double* __restrict moved_sums,
                 double* __restrict staged) {
-  for (size_t i = 0; i < span; ++i) {
+  for (size_t i = row_begin; i < row_end; ++i) {
     double* out = staged + i * m;
-    for (size_t j = 0; j < m; ++j) {
+    for (size_t j = col_begin; j < col_end; ++j) {
       const double x = load(i, j);
       sums[j] += x;
       const double moved = (x - shift[j]) - mean[j];
       out[j] = moved;
       moved_sums[j] += moved;
+    }
+  }
+}
+
+/// StageMoved for the columnar layout over whole kVecLen x kVecLen tiles:
+/// records [0, rows) x columns [0, cols), both multiples of kVecLen.
+/// Each tile loads kVecLen records of kVecLen columns (one contiguous
+/// vector per column), transposes it in registers so each vector holds
+/// one record, then does per record exactly what StageMoved does per
+/// element — sums += x, moved = (x − shift) − mean, store, moved_sums +=
+/// moved — lane by lane in IEEE double. Tiles run in record order, so
+/// every column's additions keep StageMoved's order and the staged rows
+/// and both sums are bitwise StageMoved's.
+void StageColumnTiles(const double* const* columns, size_t first_row,
+                      size_t rows, size_t cols, size_t m,
+                      const double* shift, const double* mean, double* sums,
+                      double* moved_sums, double* staged) {
+  using linalg::simd::Load;
+  using linalg::simd::Store;
+  for (size_t i0 = 0; i0 < rows; i0 += kVecLen) {
+    for (size_t j0 = 0; j0 < cols; j0 += kVecLen) {
+      vreal tile[kVecLen];
+      for (size_t u = 0; u < kVecLen; ++u) {
+        tile[u] = Load(columns[j0 + u] + first_row + i0);
+      }
+      linalg::simd::TransposeTile(tile);
+      const vreal shift_v = Load(shift + j0);
+      const vreal mean_v = Load(mean + j0);
+      vreal sums_v = Load(sums + j0);
+      vreal moved_sums_v = Load(moved_sums + j0);
+      double* out = staged + i0 * m + j0;
+      for (size_t r = 0; r < kVecLen; ++r) {
+        sums_v += tile[r];
+        const vreal moved = (tile[r] - shift_v) - mean_v;
+        Store(out + r * m, moved);
+        moved_sums_v += moved;
+      }
+      Store(sums + j0, sums_v);
+      Store(moved_sums + j0, moved_sums_v);
     }
   }
 }
@@ -52,9 +98,11 @@ StreamingMoments::StreamingMoments(size_t num_attributes,
 void StreamingMoments::AccumulateSpans(
     size_t num_rows, const std::function<void(size_t, size_t)>& stage) {
   const size_t m = num_attributes_;
-  if (staging_.empty() && num_rows > 0) {
-    staging_.resize(kGramChunkRows * m);
-    partial_.resize(m * m);
+  if (staging_ == nullptr && num_rows > 0) {
+    // Left uninitialised: staging writes every row before the flush
+    // reads it, and GramAtAChunk overwrites the partial.
+    staging_.reset(new double[kGramChunkRows * m]);
+    partial_.reset(new double[m * m]);
     scatter_.assign(m * m, 0.0);
   }
   size_t consumed = 0;
@@ -78,9 +126,10 @@ void StreamingMoments::Accumulate(const double* rows, size_t num_rows) {
   AccumulateSpans(num_rows, [&](size_t consumed, size_t span) {
     const double* source = rows + consumed * m;
     StageMoved(
-        span, m, [source, m](size_t i, size_t j) { return source[i * m + j]; },
+        0, span, 0, m, m,
+        [source, m](size_t i, size_t j) { return source[i * m + j]; },
         shift_.data(), mean_.data(), sums_.data(), delta_.data(),
-        staging_.data() + staging_rows_ * m);
+        staging_.get() + staging_rows_ * m);
   });
 }
 
@@ -93,18 +142,27 @@ void StreamingMoments::Accumulate(const linalg::Matrix& chunk,
 
 void StreamingMoments::AccumulateColumns(const double* const* columns,
                                          size_t num_rows) {
-  // Record by record across the column slices: contiguous staging
-  // writes, and the same values at the same offsets as the row-major
-  // form, so the bits match.
+  // Register-transposed tiles where the span and the width allow, the
+  // scalar loop for the ragged rest: the record tail of the tiled
+  // columns (after their tiles, so each column stays in record order)
+  // and the column tail. Contiguous staging writes either way, and the
+  // same values at the same offsets as the row-major form, so the bits
+  // match.
   const size_t m = num_attributes_;
+  const size_t tiled_cols = m - m % kVecLen;
   AccumulateSpans(num_rows, [&](size_t consumed, size_t span) {
-    StageMoved(
-        span, m,
-        [columns, consumed](size_t i, size_t j) {
-          return columns[j][consumed + i];
-        },
-        shift_.data(), mean_.data(), sums_.data(), delta_.data(),
-        staging_.data() + staging_rows_ * m);
+    const size_t tiled_rows = span - span % kVecLen;
+    double* staged = staging_.get() + staging_rows_ * m;
+    const auto load = [columns, consumed](size_t i, size_t j) {
+      return columns[j][consumed + i];
+    };
+    StageColumnTiles(columns, consumed, tiled_rows, tiled_cols, m,
+                     shift_.data(), mean_.data(), sums_.data(), delta_.data(),
+                     staged);
+    StageMoved(tiled_rows, span, 0, tiled_cols, m, load, shift_.data(),
+               mean_.data(), sums_.data(), delta_.data(), staged);
+    StageMoved(0, span, tiled_cols, m, m, load, shift_.data(), mean_.data(),
+               sums_.data(), delta_.data(), staged);
   });
 }
 
@@ -119,7 +177,7 @@ linalg::Vector StreamingMoments::means() const {
 void StreamingMoments::FlushStagingBlock() {
   const size_t m = num_attributes_;
   const size_t rows = staging_rows_;
-  double* block = staging_.data();
+  double* block = staging_.get();
   // Staging summed the moved values; their mean is δ, this block's mean
   // minus the running one.
   for (double& value : delta_) value /= static_cast<double>(rows);
@@ -128,7 +186,7 @@ void StreamingMoments::FlushStagingBlock() {
     double* row = block + i * m;
     for (size_t j = 0; j < m; ++j) row[j] -= delta_[j];
   }
-  linalg::kernels::GramAtAChunk(block, rows, m, partial_.data(), options_);
+  linalg::kernels::GramAtAChunk(block, rows, m, partial_.get(), options_);
 
   // The Chan–Golub–LeVeque merge, in block order. For the first block
   // n_a = 0, so the weight is 0 and M becomes M_b: a single-block stream
@@ -139,7 +197,7 @@ void StreamingMoments::FlushStagingBlock() {
   const double weight = n_a * n_b / n;
   for (size_t p = 0; p < m; ++p) {
     double* scatter_row = scatter_.data() + p * m;
-    const double* partial_row = partial_.data() + p * m;
+    const double* partial_row = partial_.get() + p * m;
     for (size_t q = p; q < m; ++q) {
       scatter_row[q] += partial_row[q] + delta_[p] * delta_[q] * weight;
     }

@@ -7,8 +7,18 @@
 // Σᵢ (xᵢ−µ)(xᵢ−µ)ᵀ. Both are streamable, so the attacker never has to
 // hold n x m — the basis of the src/pipeline subsystem.
 //
-// Algorithm: records are staged raw into fixed blocks of
-// kernels::kGramChunkRows. When a block is full (or the stream ends), it
+// Algorithm: records are staged row-major into fixed blocks of
+// kernels::kGramChunkRows, moved into merge coordinates (below) as they
+// are staged. Staging is per column in record order: each raw value is
+// added to the column sum, moved to (x − shift) − mean, stored, and the
+// moved value added to the block's column sum. The columnar entry point
+// (mmap'd store blocks) does this on kVecLen x kVecLen tiles transposed
+// in registers (linalg/simd.h) and falls back to the element loop for
+// ragged record and column tails; the operations and their order per
+// column are the element loop's, so the staged block, the sums and
+// everything after are bitwise the row-major form's.
+//
+// When a block is full (or the stream ends), it
 // is centered on its own mean and flushed through kernels::GramAtAChunk
 // (up to kernels::kNarrowGramWidth columns a register-tiled kernel that
 // adds the block's records in order, the packed GEMM driver beyond);
@@ -45,6 +55,7 @@
 #define RANDRECON_STATS_STREAMING_MOMENTS_H_
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/parallel.h"
@@ -72,9 +83,10 @@ class StreamingMoments {
 
   /// Columnar form: `columns[j]` points at `num_rows` contiguous values of
   /// attribute j (e.g. a ColumnStoreReader::BlockColumn slice), so mmap'd
-  /// stores feed the accumulator without a row-major gather. Stages the
-  /// same values at the same offsets as the row-major form, so the two
-  /// forms are bitwise interchangeable mid-stream.
+  /// stores feed the accumulator without a separate row-major gather.
+  /// Stages through register-transposed tiles the same values at the
+  /// same offsets, with the same per-column additions, as the row-major
+  /// form, so the two forms are bitwise interchangeable mid-stream.
   void AccumulateColumns(const double* const* columns, size_t num_rows);
 
   /// Column means µ̂ of every record accumulated so far (requires at
@@ -114,12 +126,12 @@ class StreamingMoments {
   linalg::Vector shift_;     ///< The first block's mean (0 before it).
   linalg::Vector mean_;      ///< µ_a − shift_: the running merge mean.
   /// kGramChunkRows x m staged rows, in merge coordinates
-  /// (x − shift_ − mean_).
-  std::vector<double> staging_;
+  /// (x − shift_ − mean_). Allocated on first use and never zero-filled.
+  std::unique_ptr<double[]> staging_;
   size_t staging_rows_ = 0;
   /// Column sums of the staged rows; δ·n_b once the block flushes.
   linalg::Vector delta_;
-  std::vector<double> partial_;  ///< m x m per-block Gram partial.
+  std::unique_ptr<double[]> partial_;  ///< m x m per-block Gram partial.
   std::vector<double> scatter_;  ///< m x m upper-triangle accumulation.
 };
 

@@ -13,9 +13,12 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "common/failpoint.h"
+#include "common/metrics.h"
 #include "data/csv.h"
 #include "linalg/matrix_util.h"
 #include "stats/rng.h"
@@ -438,6 +441,102 @@ TEST_F(ColumnStoreCorruptionTest, EagerVerifyFailsAtOpenNamingTheBlock) {
     EXPECT_NE(status.message().find("block 2 checksum mismatch"),
               std::string::npos)
         << status.ToString();
+  }
+}
+
+/// store.blocks_verified as the metrics registry reads it now.
+uint64_t BlocksVerified() {
+  for (const metrics::CounterSnapshot& counter : metrics::Snapshot().counters) {
+    if (counter.name == "store.blocks_verified") return counter.value;
+  }
+  return 0;
+}
+
+/// Fetches every column of blocks 0, 1, ... in order through BlockColumn
+/// until one fails, checking each served column against `records`.
+/// Returns the failing block (num_blocks() if none) and its Status.
+std::pair<size_t, Status> ReadBlocksInOrder(ColumnStoreReader* store,
+                                            const Matrix& records) {
+  for (size_t block = 0; block < store->num_blocks(); ++block) {
+    for (size_t j = 0; j < store->num_attributes(); ++j) {
+      auto column = store->BlockColumn(block, j);
+      if (!column.ok()) return {block, column.status()};
+      for (size_t r = 0; r < store->rows_in_block(block); ++r) {
+        EXPECT_EQ(column.value()[r],
+                  records(block * store->block_rows() + r, j))
+            << "block " << block << " column " << j << " row " << r;
+      }
+    }
+  }
+  return {store->num_blocks(), Status::OK()};
+}
+
+TEST(ColumnStoreTest, LookAheadVerifyServesBlocksInOrderUpToTheCorruptOne) {
+  // BlockColumn hashes several blocks ahead in parallel, but a corrupt
+  // block must still surface in block order: every earlier block serves,
+  // the corrupt one fails with exactly the serial reader's Status, and
+  // only the served blocks count as verified.
+  ScratchFile file("lookahead.rrcs");
+  stats::Rng rng(21);
+  const Matrix records = rng.GaussianMatrix(40 * 64 + 17, 3);
+  WriteStore(file.path(), records, /*block_rows=*/64);
+  std::string bytes = ReadFileBytes(file.path());
+  const size_t block_stride = 3 * 64 * 8 + 8;
+  const size_t header_bytes = bytes.size() - 41 * block_stride;
+  for (const size_t corrupt : {size_t{0}, size_t{13}, size_t{40}}) {
+    std::string damaged = bytes;
+    damaged[header_bytes + corrupt * block_stride + 100] ^= 0x10;
+    WriteFileBytes(file.path(), damaged);
+    std::string serial_message;
+    for (const int threads : {1, 4}) {
+      ColumnStoreReadOptions options;
+      options.parallel.num_threads = threads;
+      auto reader = ColumnStoreReader::Open(file.path(), options);
+      ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+      ColumnStoreReader store = std::move(reader).value();
+      const uint64_t verified_before = BlocksVerified();
+      const auto [failed_block, status] = ReadBlocksInOrder(&store, records);
+      EXPECT_EQ(failed_block, corrupt) << "threads=" << threads;
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(status.message().find("block " + std::to_string(corrupt) +
+                                      " checksum mismatch at offset " +
+                                      std::to_string(header_bytes +
+                                                     corrupt * block_stride)),
+                std::string::npos)
+          << status.ToString();
+      EXPECT_EQ(BlocksVerified() - verified_before, corrupt)
+          << "threads=" << threads;
+      if (threads == 1) {
+        serial_message = status.ToString();
+      } else {
+        EXPECT_EQ(status.ToString(), serial_message);
+      }
+    }
+  }
+}
+
+TEST(ColumnStoreTest, LookAheadVerifyKeepsFailpointHitsInBlockOrder) {
+  // store.read_block fires when a block arrives, not when it is hashed
+  // ahead, so error@N fails block N-1 at any thread count, every time.
+  ScratchFile file("lookahead_failpoint.rrcs");
+  stats::Rng rng(22);
+  const Matrix records = rng.GaussianMatrix(30 * 64, 2);
+  WriteStore(file.path(), records, /*block_rows=*/64);
+  for (const uint64_t hit : {1, 2, 8, 9, 17, 30}) {
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      ColumnStoreReadOptions options;
+      options.parallel.num_threads = 4;
+      auto reader = ColumnStoreReader::Open(file.path(), options);
+      ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+      ColumnStoreReader store = std::move(reader).value();
+      ASSERT_TRUE(ArmFailpointsFromSpec("store.read_block=error@" +
+                                        std::to_string(hit))
+                      .ok());
+      const auto [failed_block, status] = ReadBlocksInOrder(&store, records);
+      DisarmAllFailpoints();
+      EXPECT_EQ(failed_block, hit - 1) << "error@" << hit;
+      EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -209,6 +210,74 @@ TEST(StreamingMomentsTest, ColumnarFormIsBitwiseTheRowMajorForm) {
   EXPECT_EQ(columnar.means(), ColumnMeans(data));
   EXPECT_TRUE(columnar.FinalizeCovariance() == expected);
 }
+
+/// Columnar staging runs register-transposed tiles of the SIMD width
+/// with scalar loops for the ragged rest, so it is checked at every
+/// width class: below one vector, exact multiples, one past, and wide.
+/// Spans start and end mid-tile (and straddle the staging block), and
+/// the large-offset variant uses LargeOffsetsKeepFullPrecision's data.
+/// Means and covariance must be memcmp-equal to the row-major form.
+class ColumnarStagingTest
+    : public ::testing::TestWithParam<std::tuple<size_t, bool>> {};
+
+TEST_P(ColumnarStagingTest, IsBitwiseTheRowMajorForm) {
+  const size_t m = std::get<0>(GetParam());
+  const bool large_offsets = std::get<1>(GetParam());
+  stats::Rng rng(41 + m);
+  const size_t n = 2 * linalg::kernels::kGramChunkRows + 1234;
+  Matrix data = rng.GaussianMatrix(n, m);
+  if (large_offsets) {
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < m; ++j) {
+        data(i, j) += 1e6 * (1.0 + 0.25 * static_cast<double>(j));
+      }
+    }
+  }
+  StreamingMoments row_major(m);
+  row_major.Accumulate(data, n);
+  const linalg::Vector expected_means = row_major.means();
+  const Matrix expected = row_major.FinalizeCovariance();
+
+  Matrix transposed(m, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < m; ++j) transposed.row_data(j)[i] = data(i, j);
+  }
+  auto columns_at = [&](size_t row) {
+    std::vector<const double*> columns(m);
+    for (size_t j = 0; j < m; ++j) columns[j] = transposed.row_data(j) + row;
+    return columns;
+  };
+  // Odd spans: every span boundary but the last falls mid-tile, and
+  // 4093 crosses a staging-block flush. Whole blocks: the production
+  // shape (one BlockColumn block per call).
+  const std::vector<std::vector<size_t>> patterns = {
+      {5, 11, 1, 4093, 37, 2999, 6}, {linalg::kernels::kGramChunkRows}};
+  for (const std::vector<size_t>& spans : patterns) {
+    StreamingMoments columnar(m);
+    size_t row = 0;
+    for (size_t k = 0; row < n; ++k) {
+      const size_t take = std::min(spans[k % spans.size()], n - row);
+      columnar.AccumulateColumns(columns_at(row).data(), take);
+      row += take;
+    }
+    const linalg::Vector means = columnar.means();
+    const Matrix covariance = columnar.FinalizeCovariance();
+    EXPECT_EQ(std::memcmp(means.data(), expected_means.data(),
+                          m * sizeof(double)),
+              0)
+        << "means, m=" << m << " spans " << spans.size();
+    EXPECT_EQ(std::memcmp(covariance.data(), expected.data(),
+                          m * m * sizeof(double)),
+              0)
+        << "covariance, m=" << m << " spans " << spans.size();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, ColumnarStagingTest,
+    ::testing::Combine(::testing::Values<size_t>(1, 2, 3, 7, 8, 9, 15, 16, 17,
+                                                 24, 40, 64, 65, 100),
+                       ::testing::Bool()));
 
 TEST(StreamingMomentsTest, CountsRecords) {
   stats::Rng rng(19);
