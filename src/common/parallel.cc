@@ -1,35 +1,55 @@
 #include "common/parallel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
 
 namespace randrecon {
+namespace parallel_internal {
+
+/// One parallel call's tasks. `next_task` and `pending` are guarded by
+/// the pool mutex; a job leaves the pool's queue once its last task is
+/// claimed, and nothing in the pool touches it after `pending` reaches 0.
+struct PoolJob {
+  /// Background jobs own their task; ordinary ones point at the caller's.
+  std::function<void(size_t)> owned_task;
+  const std::function<void(size_t)>* task = nullptr;
+  size_t num_tasks = 0;
+  size_t next_task = 0;
+  size_t pending = 0;
+};
+
+}  // namespace parallel_internal
+
 namespace {
+
+using parallel_internal::PoolJob;
 
 /// True while this thread is executing a pool task: a nested parallel
 /// call from inside a task runs inline instead of re-entering the pool
-/// (re-entering would self-deadlock on the single-job mutex).
+/// (a worker blocked on a nested job could starve the pool).
 thread_local bool t_inside_pool_task = false;
 
 /// Persistent pool of workers executing indexed tasks. A parallel call
-/// publishes one job (a function over task indices), wakes the workers,
-/// takes part in the work itself, and waits for completion. Workers are
-/// spawned lazily up to the largest count any call has asked for.
+/// queues one job (a function over task indices) and wakes the workers;
+/// an ordinary call then takes part in its own job and waits for it, a
+/// background call (StartParallelFor) returns at once. Several jobs may
+/// be queued at a time; workers serve them first in, first out. Workers
+/// are spawned lazily up to the largest count any call has asked for.
 ///
 /// Tasks are coarse (one per contiguous chunk, at most a few dozen per
 /// job), so indices are claimed under the mutex; the lock cost is
-/// invisible next to the chunk work, and holding the claim and the
-/// generation check together closes the stale-worker race: a worker that
-/// wakes up late sees a generation mismatch and goes back to sleep
-/// instead of touching a finished job's function object.
+/// invisible next to the chunk work, and a job leaves the queue under
+/// that same lock when its last index is claimed, so no worker can reach
+/// a finished job.
 class ThreadPool {
  public:
   static ThreadPool& Instance() {
@@ -46,24 +66,34 @@ class ThreadPool {
       for (size_t t = 0; t < num_tasks; ++t) task(t);
       return;
     }
-    std::lock_guard<std::mutex> run_lock(run_mutex_);  // One job at a time.
-    EnsureWorkers(num_workers - 1);
-    uint64_t generation;
+    PoolJob job;
+    job.task = &task;
+    Submit(&job, num_tasks, num_workers - 1);
+    // The caller works only on its own job, so it finishes even while
+    // every worker is busy with a background job queued before it.
+    size_t t;
+    while (Claim(&job, &t)) Execute(&job, t);
+    Join(&job);
+  }
+
+  /// Queues `job`'s `num_tasks` tasks, starting workers up to
+  /// `workers_needed` (a background job needs at least one).
+  void Submit(PoolJob* job, size_t num_tasks, size_t workers_needed) {
+    EnsureWorkers(workers_needed);
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      task_ = &task;
-      num_tasks_ = num_tasks;
-      next_task_ = 0;
-      pending_ = num_tasks;
-      generation = ++generation_;
+      job->num_tasks = num_tasks;
+      job->next_task = 0;
+      job->pending = num_tasks;
+      queue_.push_back(job);
     }
     work_cv_.notify_all();
-    RunTasks(generation);
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      done_cv_.wait(lock, [&] { return pending_ == 0; });
-      task_ = nullptr;
-    }
+  }
+
+  /// Blocks until every task of `job` has finished.
+  void Join(PoolJob* job) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_cv_.wait(lock, [&] { return job->pending == 0; });
   }
 
  private:
@@ -77,56 +107,58 @@ class ThreadPool {
   }
 
   void WorkerLoop() {
-    uint64_t seen_generation = 0;
     for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        work_cv_.wait(lock, [&] { return generation_ != seen_generation; });
-        seen_generation = generation_;
-      }
-      RunTasks(seen_generation);
-    }
-  }
-
-  /// Claims and executes task indices of job `generation` until that job
-  /// has none left (or has already been retired).
-  void RunTasks(uint64_t generation) {
-    for (;;) {
-      const std::function<void(size_t)>* task;
+      PoolJob* job;
       size_t t;
       {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (generation_ != generation || task_ == nullptr) return;
-        if (next_task_ >= num_tasks_) return;
-        t = next_task_++;
-        task = task_;
+        std::unique_lock<std::mutex> lock(mutex_);
+        work_cv_.wait(lock, [&] { return !queue_.empty(); });
+        job = queue_.front();
+        t = ClaimLocked(job);
       }
-      t_inside_pool_task = true;
-      try {
-        (*task)(t);
-      } catch (...) {
-        // A task that throws (e.g. bad_alloc in a kernel's pack buffer)
-        // would otherwise leave pending_ stuck and task_ dangling for
-        // concurrent workers. This library treats failures as fatal
-        // (see common/check.h), so fail fast instead of unwinding.
-        std::abort();
-      }
-      t_inside_pool_task = false;
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--pending_ == 0) done_cv_.notify_all();
+      Execute(job, t);
     }
   }
 
-  std::mutex run_mutex_;
+  /// Claims the next task index of `job`; false once none is left.
+  bool Claim(PoolJob* job, size_t* t) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (job->next_task >= job->num_tasks) return false;
+    *t = ClaimLocked(job);
+    return true;
+  }
+
+  /// Claims an index of a queued job, dequeuing it with its last index.
+  size_t ClaimLocked(PoolJob* job) {
+    const size_t t = job->next_task++;
+    if (job->next_task == job->num_tasks) {
+      queue_.erase(std::find(queue_.begin(), queue_.end(), job));
+    }
+    return t;
+  }
+
+  void Execute(PoolJob* job, size_t t) {
+    t_inside_pool_task = true;
+    try {
+      (*job->task)(t);
+    } catch (...) {
+      // A task that throws (e.g. bad_alloc in a kernel's pack buffer)
+      // would otherwise leave pending stuck and its waiter blocked
+      // forever. This library treats failures as fatal (see
+      // common/check.h), so fail fast instead of unwinding.
+      std::abort();
+    }
+    t_inside_pool_task = false;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--job->pending == 0) done_cv_.notify_all();
+  }
+
   std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   std::vector<std::thread> workers_;
-  const std::function<void(size_t)>* task_ = nullptr;
-  size_t num_tasks_ = 0;
-  size_t next_task_ = 0;
-  size_t pending_ = 0;
-  uint64_t generation_ = 0;
+  /// Jobs with unclaimed tasks, oldest first.
+  std::deque<PoolJob*> queue_;
 };
 
 size_t AutoThreadCount() {
@@ -136,6 +168,19 @@ size_t AutoThreadCount() {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<size_t>(hw);
+}
+
+/// Runs chunk `t` of `threads` even contiguous chunks of [begin, begin +
+/// items). Each chunk's work is self-contained and writes to disjoint
+/// data, so any assignment of chunks to workers (and any chunk count)
+/// produces identical results.
+void RunChunk(size_t t, size_t begin, size_t items, size_t threads,
+              const std::function<void(size_t, size_t)>& body) {
+  const size_t base = items / threads;
+  const size_t extra = items % threads;
+  const size_t chunk_begin = begin + t * base + (t < extra ? t : extra);
+  const size_t chunk_size = base + (t < extra ? 1 : 0);
+  if (chunk_size > 0) body(chunk_begin, chunk_begin + chunk_size);
 }
 
 }  // namespace
@@ -160,15 +205,8 @@ void ParallelFor(size_t begin, size_t end,
     body(begin, end);
     return;
   }
-  // Even contiguous partition: each chunk's work is self-contained and
-  // writes to disjoint data, so any assignment of chunks to workers (and
-  // any chunk count) produces identical results.
-  const size_t base = items / threads;
-  const size_t extra = items % threads;
   ThreadPool::Instance().Run(threads, threads, [&](size_t t) {
-    const size_t chunk_begin = begin + t * base + (t < extra ? t : extra);
-    const size_t chunk_size = base + (t < extra ? 1 : 0);
-    if (chunk_size > 0) body(chunk_begin, chunk_begin + chunk_size);
+    RunChunk(t, begin, items, threads, body);
   });
 }
 
@@ -183,31 +221,44 @@ void ParallelForEach(size_t begin, size_t end,
                              [&](size_t t) { body(begin + t); });
 }
 
-double ParallelReduceSum(size_t begin, size_t end, size_t chunk_size,
-                         const std::function<double(size_t, size_t)>& chunk_sum,
-                         const ParallelOptions& options) {
+ParallelTask::ParallelTask() = default;
+ParallelTask::ParallelTask(std::unique_ptr<PoolJob> job)
+    : job_(std::move(job)) {}
+ParallelTask::ParallelTask(ParallelTask&& other) noexcept = default;
+
+ParallelTask& ParallelTask::operator=(ParallelTask&& other) noexcept {
+  if (this != &other) {
+    Wait();
+    job_ = std::move(other.job_);
+  }
+  return *this;
+}
+
+ParallelTask::~ParallelTask() { Wait(); }
+
+void ParallelTask::Wait() {
+  if (job_ == nullptr) return;
+  ThreadPool::Instance().Join(job_.get());
+  job_.reset();
+}
+
+ParallelTask StartParallelFor(size_t begin, size_t end,
+                              std::function<void(size_t, size_t)> body,
+                              const ParallelOptions& options) {
   RR_CHECK_LE(begin, end);
-  RR_CHECK_GT(chunk_size, 0u);
   const size_t items = end - begin;
-  if (items == 0) return 0.0;
-  // Chunk boundaries are a pure function of chunk_size — NOT of the thread
-  // count — and the partials are combined in chunk order below, so the
-  // floating-point result is bitwise stable across thread counts.
-  const size_t num_chunks = (items + chunk_size - 1) / chunk_size;
-  std::vector<double> partials(num_chunks);
-  // min_parallel_items is a contract on the *item* count; the chunk count
-  // only caps how many workers can be useful.
-  const size_t threads =
-      std::min(EffectiveThreadCount(options, items), num_chunks);
-  ThreadPool::Instance().Run(num_chunks, threads, [&](size_t chunk) {
-    const size_t chunk_begin = begin + chunk * chunk_size;
-    const size_t chunk_end =
-        chunk_begin + chunk_size < end ? chunk_begin + chunk_size : end;
-    partials[chunk] = chunk_sum(chunk_begin, chunk_end);
-  });
-  double total = 0.0;
-  for (double partial : partials) total += partial;
-  return total;
+  const size_t threads = EffectiveThreadCount(options, items);
+  if (threads == 1 || t_inside_pool_task) {
+    ParallelFor(begin, end, body, options);
+    return ParallelTask();
+  }
+  auto job = std::make_unique<PoolJob>();
+  job->owned_task = [begin, items, threads, body = std::move(body)](size_t t) {
+    RunChunk(t, begin, items, threads, body);
+  };
+  job->task = &job->owned_task;
+  ThreadPool::Instance().Submit(job.get(), threads, threads - 1);
+  return ParallelTask(std::move(job));
 }
 
 }  // namespace randrecon

@@ -563,9 +563,12 @@ ColumnStoreReader& ColumnStoreReader::operator=(
   options_ = other.options_;
   names_ = std::move(other.names_);
   block_verified_ = std::move(other.block_verified_);
+  other.next_task_.Wait();
   lookahead_blocks_ = other.lookahead_blocks_;
   ahead_begin_ = other.ahead_begin_;
   ahead_hashes_ = std::move(other.ahead_hashes_);
+  next_begin_ = other.next_begin_;
+  next_hashes_ = std::move(other.next_hashes_);
   other.fd_ = -1;
   other.mapping_ = nullptr;
   return *this;
@@ -574,6 +577,7 @@ ColumnStoreReader& ColumnStoreReader::operator=(
 ColumnStoreReader::~ColumnStoreReader() { ReleaseMapping(); }
 
 void ColumnStoreReader::ReleaseMapping() {
+  next_task_.Wait();  // Its hashers read the mapping.
   if (mapping_ != nullptr) {
     ::munmap(const_cast<uint8_t*>(mapping_), file_size_);
     mapping_ = nullptr;
@@ -600,17 +604,42 @@ bool ColumnStoreReader::HashedAhead(size_t block) const {
 }
 
 void ColumnStoreReader::HashAhead(size_t block) {
-  ahead_begin_ = block;
-  ahead_hashes_.resize(std::min(lookahead_blocks_, num_blocks_ - block));
-  // Each task hashes distinct blocks into its own slots; nothing
-  // observable happens here — VerifyBlock reports each block in order.
-  ParallelFor(
-      0, ahead_hashes_.size(),
-      [&](size_t begin, size_t end) {
-        for (size_t slot = begin; slot < end; ++slot) {
-          if (!block_verified_[block + slot]) {
-            ahead_hashes_[slot] = ComputeBlockHash(block + slot);
+  next_task_.Wait();
+  if (block >= next_begin_ && block - next_begin_ < next_hashes_.size()) {
+    ahead_begin_ = next_begin_;
+    ahead_hashes_.swap(next_hashes_);
+  } else {
+    ahead_begin_ = block;
+    ahead_hashes_.resize(std::min(lookahead_blocks_, num_blocks_ - block));
+    // Each task hashes distinct blocks into its own slots; nothing
+    // observable happens here — VerifyBlock reports each block in order.
+    ParallelFor(
+        0, ahead_hashes_.size(),
+        [&](size_t begin, size_t end) {
+          for (size_t slot = begin; slot < end; ++slot) {
+            if (!block_verified_[block + slot]) {
+              ahead_hashes_[slot] = ComputeBlockHash(block + slot);
+            }
           }
+        },
+        options_.parallel);
+  }
+  next_begin_ = ahead_begin_ + ahead_hashes_.size();
+  next_hashes_.clear();
+  if (lookahead_blocks_ == 1 || next_begin_ == num_blocks_) return;
+  // The next window is hashed while the caller consumes this one. The
+  // wave captures plain pointers, not `this`; every move, unmap and
+  // destruction of the reader joins it first.
+  next_hashes_.resize(std::min(lookahead_blocks_, num_blocks_ - next_begin_));
+  const uint8_t* first_payload = block_payload(next_begin_);
+  const size_t stride = block_stride_;
+  uint64_t* slots = next_hashes_.data();
+  next_task_ = StartParallelFor(
+      0, next_hashes_.size(),
+      [first_payload, stride, slots](size_t begin, size_t end) {
+        for (size_t slot = begin; slot < end; ++slot) {
+          slots[slot] = ColumnStoreHash(first_payload + slot * stride,
+                                        stride - sizeof(uint64_t));
         }
       },
       options_.parallel);

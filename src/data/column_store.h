@@ -182,15 +182,27 @@ struct ColumnStoreReadOptions {
 /// once, on first touch — or all up front with
 /// ColumnStoreReadOptions::eager_verify.
 ///
-/// Lazy verification through BlockColumn looks ahead: touching an
-/// unverified block first hashes it and the blocks after it — a window
-/// of about two blocks per worker of options.parallel, one block when
-/// serial — in one ParallelFor, then returns. The look-ahead only
-/// records hashes. Each block still ARRIVES in order when first touched:
-/// only then does store.read_block fire, the stored checksum get
-/// compared, store.blocks_verified count it and its own error return.
-/// So a corrupt block k serves blocks < k first and fails at k with the
-/// serial reader's exact Status, and failpoint hits stay in block order.
+/// Lazy verification through BlockColumn looks ahead in windows of
+/// about two blocks per worker of options.parallel. Touching an
+/// unverified block outside the current window hashes the window that
+/// starts there in one ParallelFor; entering a window (that way, or by
+/// reaching the end of the previous one) queues the hashing of the NEXT
+/// window on the pool's workers in the background (StartParallelFor) and
+/// returns without waiting for it. So window w+1 is hashed while the
+/// caller consumes window w, and a sequential walk waits only when it
+/// gets ahead of the hashers. A serial reader (one thread) hashes each
+/// block as it arrives, with no background work.
+///
+/// The look-ahead only records hashes. Each block still ARRIVES in order
+/// when first touched, on the calling thread: only then does
+/// store.read_block fire, the stored checksum get compared,
+/// store.blocks_verified count it and its own error return. So a corrupt
+/// block k serves blocks < k first and fails at k with the serial
+/// reader's exact Status, and failpoint hits stay in block order.
+///
+/// Lifetime: the background hashing reads the mapping and writes only
+/// the in-flight window's hash slots. The reader joins it before it
+/// unmaps, is moved from or into, or is destroyed.
 ///
 /// Instances are move-only and single-threaded (the lazy verification
 /// bitmap is unsynchronized between calls; the block-parallel paths
@@ -228,8 +240,8 @@ class ColumnStoreReader {
 
   /// Zero-copy pointer to column `column` of block `block` — block-local
   /// row r of that column is ptr[r], valid for rows_in_block(block) rows.
-  /// Verifies the block's checksum on first touch, hashing the blocks
-  /// after it ahead in parallel (see the class comment).
+  /// Verifies the block's checksum on first touch, with the blocks after
+  /// it hashed ahead in parallel (see the class comment).
   Result<const double*> BlockColumn(size_t block, size_t column);
 
   /// Valid records in `block` (block_rows() except for a final partial).
@@ -256,9 +268,12 @@ class ColumnStoreReader {
   /// RRH64 of `block`'s payload as it is mapped now.
   uint64_t ComputeBlockHash(size_t block) const;
 
-  /// Hashes the unverified blocks among [block, block +
-  /// lookahead_blocks_) in one ParallelFor, replacing the previous
-  /// window. Records hashes only; VerifyBlock compares and reports.
+  /// Makes `block` part of the current look-ahead window: adopts the
+  /// in-flight window if it holds `block` (waiting for its hashes), else
+  /// hashes the unverified blocks among [block, block +
+  /// lookahead_blocks_) in one ParallelFor. Then starts hashing the
+  /// window after it in the background. Records hashes only;
+  /// VerifyBlock compares and reports.
   void HashAhead(size_t block);
 
   /// True iff `block` lies in the current look-ahead window.
@@ -269,7 +284,8 @@ class ColumnStoreReader {
   /// so the diagnostic is deterministic across thread counts.
   Status VerifyBlocksInRange(size_t block_begin, size_t block_end);
 
-  /// Unmaps and closes, leaving the reader empty (moves, destructor).
+  /// Joins the background hashing, then unmaps and closes, leaving the
+  /// reader empty (moves, destructor).
   void ReleaseMapping();
 
   const uint8_t* block_payload(size_t block) const {
@@ -289,11 +305,16 @@ class ColumnStoreReader {
   ColumnStoreReadOptions options_;
   std::vector<std::string> names_;
   std::vector<uint8_t> block_verified_;
-  /// BlockColumn's look-ahead window: blocks hashed per wave and the
-  /// window [ahead_begin_, ahead_begin_ + ahead_hashes_.size()).
+  /// BlockColumn's look-ahead: blocks hashed per window, the current
+  /// window [ahead_begin_, ahead_begin_ + ahead_hashes_.size()), and the
+  /// window after it, [next_begin_, next_begin_ + next_hashes_.size()),
+  /// whose hashes `next_task_` is computing in the background.
   size_t lookahead_blocks_ = 1;
   size_t ahead_begin_ = 0;
   std::vector<uint64_t> ahead_hashes_;
+  size_t next_begin_ = 0;
+  std::vector<uint64_t> next_hashes_;
+  ParallelTask next_task_;
 };
 
 /// Writes a whole Dataset as a column store (bitwise-exact f64 values,

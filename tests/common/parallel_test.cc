@@ -6,6 +6,7 @@
 #include "common/parallel.h"
 
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -79,7 +80,7 @@ TEST(ParallelForTest, NestedParallelForRunsInlineWithoutDeadlock) {
       [&](size_t outer_begin, size_t outer_end) {
         for (size_t outer = outer_begin; outer < outer_end; ++outer) {
           // Inner call from inside a pool task must run inline, not
-          // re-enter the (single-job) pool.
+          // re-enter the pool.
           ParallelFor(
               0, 8,
               [&](size_t begin, size_t end) {
@@ -109,28 +110,113 @@ TEST(ParallelForTest, MoreThreadsThanItems) {
   EXPECT_EQ(visits, (std::vector<int>{1, 1, 1}));
 }
 
-TEST(ParallelReduceTest, SumIsBitwiseIdenticalAcrossThreadCounts) {
-  // Random magnitudes make the grand total order-sensitive in floating
-  // point; fixed chunking + in-order combine must erase the thread count
-  // from the result entirely.
-  stats::Rng rng(11);
-  const linalg::Matrix values = rng.GaussianMatrix(1, 100000);
-  const double* data = values.data();
-  auto chunk_sum = [&](size_t begin, size_t end) {
-    double sum = 0.0;
-    for (size_t i = begin; i < end; ++i) sum += data[i] * data[i] * 1e-3;
-    return sum;
-  };
-  std::vector<double> totals;
+TEST(StartParallelForTest, VisitsEveryIndexExactlyOnce) {
   for (int threads : {1, 2, 8}) {
+    std::vector<std::atomic<int>> visits(1000);
+    for (auto& v : visits) v.store(0);
     ParallelOptions options;
     options.num_threads = threads;
-    totals.push_back(
-        ParallelReduceSum(0, values.size(), 4096, chunk_sum, options));
+    ParallelTask wave = StartParallelFor(
+        0, visits.size(),
+        [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) visits[i].fetch_add(1);
+        },
+        options);
+    wave.Wait();
+    for (size_t i = 0; i < visits.size(); ++i) {
+      ASSERT_EQ(visits[i].load(), 1) << "index " << i << " with " << threads
+                                     << " threads";
+    }
   }
-  EXPECT_EQ(totals[0], totals[1]);
-  EXPECT_EQ(totals[0], totals[2]);
-  EXPECT_GT(totals[0], 0.0);
+}
+
+TEST(StartParallelForTest, RunsInlineInsideAPoolTask) {
+  // From inside a pool task the whole wave runs on the calling worker
+  // before StartParallelFor returns, like a nested ParallelFor.
+  ParallelOptions options;
+  options.num_threads = 4;
+  std::vector<std::atomic<int>> visits(4 * 16);
+  for (auto& v : visits) v.store(0);
+  std::atomic<int> foreign_chunks{0};
+  ParallelFor(
+      0, 4,
+      [&](size_t outer_begin, size_t outer_end) {
+        for (size_t outer = outer_begin; outer < outer_end; ++outer) {
+          const std::thread::id caller = std::this_thread::get_id();
+          ParallelTask wave = StartParallelFor(
+              0, 16,
+              [&, outer, caller](size_t begin, size_t end) {
+                if (std::this_thread::get_id() != caller) ++foreign_chunks;
+                for (size_t i = begin; i < end; ++i) {
+                  visits[outer * 16 + i].fetch_add(1);
+                }
+              },
+              options);
+          for (size_t i = 0; i < 16; ++i) {
+            EXPECT_EQ(visits[outer * 16 + i].load(), 1)
+                << "index " << i << " not done before the handle returned";
+          }
+          wave.Wait();
+        }
+      },
+      options);
+  EXPECT_EQ(foreign_chunks.load(), 0);
+}
+
+TEST(StartParallelForTest, WaitOnAJoinedOrEmptyHandleReturnsAtOnce) {
+  ParallelOptions options;
+  options.num_threads = 4;
+  std::atomic<int> chunks{0};
+  ParallelTask wave = StartParallelFor(
+      0, 8, [&](size_t, size_t) { ++chunks; }, options);
+  wave.Wait();
+  EXPECT_EQ(chunks.load(), 4);
+  wave.Wait();  // Already joined.
+  ParallelTask empty;
+  empty.Wait();
+  ParallelTask moved_from = StartParallelFor(
+      0, 8, [&](size_t, size_t) { ++chunks; }, options);
+  ParallelTask owner = std::move(moved_from);
+  moved_from.Wait();  // Nothing left to join here.
+  owner.Wait();
+  EXPECT_EQ(chunks.load(), 8);
+}
+
+TEST(StartParallelForTest, OwnerParallelCallsCompleteWhileTheWaveIsInFlight) {
+  // A wave whose chunks block until released holds every worker: it has
+  // more chunks than any other call in this binary starts workers for.
+  // The owner's ordinary ParallelFor / ParallelForEach must still
+  // complete (the owner runs their chunks itself) before the release.
+  ParallelOptions wave_options;
+  wave_options.num_threads = 16;
+  std::atomic<bool> release{false};
+  std::atomic<int> wave_chunks{0};
+  ParallelTask wave = StartParallelFor(
+      0, 16,
+      [&](size_t, size_t) {
+        while (!release.load()) std::this_thread::yield();
+        ++wave_chunks;
+      },
+      wave_options);
+  ParallelOptions options;
+  options.num_threads = 4;
+  std::vector<std::atomic<int>> visits(400);
+  for (auto& v : visits) v.store(0);
+  ParallelFor(
+      0, 200,
+      [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) visits[i].fetch_add(1);
+      },
+      options);
+  ParallelForEach(
+      200, 400, [&](size_t i) { visits[i].fetch_add(1); }, options);
+  for (size_t i = 0; i < visits.size(); ++i) {
+    ASSERT_EQ(visits[i].load(), 1) << "index " << i;
+  }
+  EXPECT_EQ(wave_chunks.load(), 0);
+  release.store(true);
+  wave.Wait();
+  EXPECT_EQ(wave_chunks.load(), 16);
 }
 
 TEST(ParallelKernelTest, BlockedMatMulIsBitwiseIdenticalAcrossThreadCounts) {

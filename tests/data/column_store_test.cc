@@ -20,8 +20,10 @@
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "data/csv.h"
+#include "data/shard_store.h"
 #include "linalg/matrix_util.h"
 #include "stats/rng.h"
+#include "stats/streaming_moments.h"
 
 namespace randrecon {
 namespace data {
@@ -537,6 +539,149 @@ TEST(ColumnStoreTest, LookAheadVerifyKeepsFailpointHitsInBlockOrder) {
       EXPECT_EQ(failed_block, hit - 1) << "error@" << hit;
       EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
     }
+  }
+}
+
+TEST(ColumnStoreTest, LookAheadVerifyFailsAtBackgroundWindowEdges) {
+  // At 4 threads the look-ahead window is 8 blocks: block 8 is the first
+  // block hashed in the background, block 16 the first of the second
+  // background window, block 40 the final partial block. Each must fail
+  // exactly as the serial reader does, after every earlier block served.
+  ScratchFile file("lookahead_edges.rrcs");
+  stats::Rng rng(23);
+  const Matrix records = rng.GaussianMatrix(40 * 64 + 17, 3);
+  WriteStore(file.path(), records, /*block_rows=*/64);
+  const std::string bytes = ReadFileBytes(file.path());
+  const size_t block_stride = 3 * 64 * 8 + 8;
+  const size_t header_bytes = bytes.size() - 41 * block_stride;
+  for (const size_t corrupt : {size_t{8}, size_t{16}, size_t{40}}) {
+    std::string damaged = bytes;
+    damaged[header_bytes + corrupt * block_stride + 8] ^= 0x01;
+    WriteFileBytes(file.path(), damaged);
+    std::string serial_message;
+    for (const int threads : {1, 4}) {
+      ColumnStoreReadOptions options;
+      options.parallel.num_threads = threads;
+      auto reader = ColumnStoreReader::Open(file.path(), options);
+      ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+      ColumnStoreReader store = std::move(reader).value();
+      const uint64_t verified_before = BlocksVerified();
+      const auto [failed_block, status] = ReadBlocksInOrder(&store, records);
+      EXPECT_EQ(failed_block, corrupt) << "threads=" << threads;
+      EXPECT_EQ(BlocksVerified() - verified_before, corrupt)
+          << "threads=" << threads;
+      if (threads == 1) {
+        serial_message = status.ToString();
+        EXPECT_NE(serial_message.find("block " + std::to_string(corrupt) +
+                                      " checksum mismatch at offset " +
+                                      std::to_string(header_bytes +
+                                                     corrupt * block_stride)),
+                  std::string::npos)
+            << serial_message;
+      } else {
+        EXPECT_EQ(status.ToString(), serial_message);
+      }
+    }
+  }
+}
+
+TEST(ColumnStoreTest, ReaderJoinsItsBackgroundWindowWhenDestroyedOrMoved) {
+  // Right after the first BlockColumn the next window is being hashed in
+  // the background over the reader's mapping. Destroying the reader, or
+  // moving it in either direction, must join that wave first (ASan and
+  // TSan runs of this test catch a use after unmap or a racy move), and
+  // a moved-to reader must go on serving every block.
+  ScratchFile file("lookahead_lifetime.rrcs");
+  stats::Rng rng(24);
+  const Matrix records = rng.GaussianMatrix(40 * 1024 + 5, 8);
+  WriteStore(file.path(), records, /*block_rows=*/1024);
+  ColumnStoreReadOptions options;
+  options.parallel.num_threads = 4;
+  auto open = [&] {
+    auto reader = ColumnStoreReader::Open(file.path(), options);
+    EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+    return std::move(reader).value();
+  };
+  for (int repeat = 0; repeat < 20; ++repeat) {
+    {
+      ColumnStoreReader doomed = open();
+      ASSERT_TRUE(doomed.BlockColumn(0, 0).ok());
+    }  // Destroyed with the window [8, 16) in flight.
+
+    ColumnStoreReader source = open();
+    ASSERT_TRUE(source.BlockColumn(0, 0).ok());
+    ColumnStoreReader target = open();
+    ASSERT_TRUE(target.BlockColumn(0, 0).ok());
+    target = std::move(source);  // Both sides have a window in flight.
+    const auto [failed_block, status] = ReadBlocksInOrder(&target, records);
+    EXPECT_EQ(failed_block, target.num_blocks()) << status.ToString();
+  }
+}
+
+TEST(ColumnStoreTest, WideMomentsOverShardsMatchSerialWhileWindowsAreInFlight) {
+  // Columnar StreamingMoments at m > kNarrowGramWidth flushes each 4096-
+  // record block through the packed Gram driver, which issues its own
+  // ParallelFor while the reader's next window may still be hashing in
+  // the background. Over a sharded store whose shards each span several
+  // windows, a 4-thread sweep must give the serial sweep's bits.
+  for (const size_t m : {size_t{80}, size_t{200}}) {
+    const std::string manifest =
+        "column_store_test_wide_moments_" + std::to_string(m) + ".rrcm";
+    stats::Rng rng(25);
+    Matrix records = rng.GaussianMatrix(3 * 3000, m);
+    for (size_t i = 0; i < records.rows(); ++i) {
+      for (size_t j = 0; j < m; ++j) records(i, j) += 10.0 * j;
+    }
+    ShardedStoreOptions write_options;
+    write_options.shard_rows = 3000;
+    write_options.block_rows = 64;
+    {
+      auto writer =
+          ShardedStoreWriter::Create(manifest, Names(m), write_options);
+      ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+      ShardedStoreWriter store_writer = std::move(writer).value();
+      ASSERT_TRUE(store_writer.Append(records, records.rows()).ok());
+      ASSERT_TRUE(store_writer.Close().ok());
+    }
+    std::vector<linalg::Vector> means;
+    std::vector<Matrix> covariances;
+    for (const int threads : {1, 4}) {
+      ParallelOptions parallel;
+      parallel.num_threads = threads;
+      ColumnStoreReadOptions read_options;
+      read_options.parallel = parallel;
+      auto opened = ShardedStoreReader::Open(manifest, read_options);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      ShardedStoreReader reader = std::move(opened).value();
+      ASSERT_EQ(reader.num_shards(), 3u);
+      stats::StreamingMoments moments(m, parallel);
+      std::vector<const double*> columns(m);
+      for (size_t shard = 0; shard < reader.num_shards(); ++shard) {
+        auto store = reader.shard(shard);
+        ASSERT_TRUE(store.ok()) << store.status().ToString();
+        for (size_t block = 0; block < store.value()->num_blocks(); ++block) {
+          for (size_t j = 0; j < m; ++j) {
+            auto column = store.value()->BlockColumn(block, j);
+            ASSERT_TRUE(column.ok()) << column.status().ToString();
+            columns[j] = column.value();
+          }
+          moments.AccumulateColumns(columns.data(),
+                                    store.value()->rows_in_block(block));
+        }
+      }
+      ASSERT_EQ(moments.num_records(), records.rows());
+      means.push_back(moments.means());
+      covariances.push_back(moments.FinalizeCovariance());
+    }
+    EXPECT_EQ(std::memcmp(means[0].data(), means[1].data(),
+                          m * sizeof(double)),
+              0)
+        << "m=" << m;
+    EXPECT_EQ(std::memcmp(covariances[0].data(), covariances[1].data(),
+                          m * m * sizeof(double)),
+              0)
+        << "m=" << m;
+    EXPECT_TRUE(RemoveShardedStoreFiles(manifest).ok());
   }
 }
 
