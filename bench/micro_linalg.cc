@@ -467,44 +467,54 @@ int main(int argc, char** argv) {
   // element-by-element staging loop. Each rep feeds the same cache-hot
   // block kBlocksPerRep times (so later blocks take the merge path) and
   // reports time per block; the means and covariance must agree bitwise.
+  // `moments/columnar` runs the library's default threads, where later
+  // blocks fold on the caller and reduce their Grams on the pool;
+  // `moments/columnar_1thread` pins one thread, the inline per-block
+  // path.
   constexpr size_t kBlocksPerRep = 8;
-  for (size_t m : smoke.value() ? std::vector<size_t>{8, 16}
-                                : std::vector<size_t>{8, 16, 32, 64}) {
-    const size_t rows = linalg::kernels::kGramChunkRows;
-    const Matrix block = rng.GaussianMatrix(m, rows);  // Row j = column j.
-    std::vector<const double*> columns(m);
-    for (size_t j = 0; j < m; ++j) columns[j] = block.row_data(j);
-    Matrix naive_cov, kernel_cov;
-    linalg::Vector naive_means, kernel_means;
-    bench::Comparison comparison = bench::TimePair(
-        smoke.value() ? 10 : 100,
-        [&] {
-          bench::NaiveColumnarMoments moments(m);
-          for (size_t b = 0; b < kBlocksPerRep; ++b) {
-            moments.AccumulateColumns(columns.data(), rows);
-          }
-          naive_means = moments.means();
-          naive_cov = moments.FinalizeCovariance();
-        },
-        [&] {
-          stats::StreamingMoments moments(m);
-          for (size_t b = 0; b < kBlocksPerRep; ++b) {
-            moments.AccumulateColumns(columns.data(), rows);
-          }
-          kernel_means = moments.means();
-          kernel_cov = moments.FinalizeCovariance();
-        });
-    comparison.naive_seconds /= kBlocksPerRep;
-    comparison.kernel_seconds /= kBlocksPerRep;
-    comparison.max_abs_diff = linalg::MaxAbsDifference(naive_cov, kernel_cov);
-    for (size_t j = 0; j < m; ++j) {
-      comparison.max_abs_diff =
-          std::max(comparison.max_abs_diff,
-                   std::fabs(naive_means[j] - kernel_means[j]));
+  for (const int threads : {0, 1}) {
+    for (size_t m : smoke.value() ? std::vector<size_t>{8, 16}
+                                  : std::vector<size_t>{8, 16, 32, 64}) {
+      ParallelOptions parallel;
+      parallel.num_threads = threads;
+      const size_t rows = linalg::kernels::kGramChunkRows;
+      const Matrix block = rng.GaussianMatrix(m, rows);  // Row j = column j.
+      std::vector<const double*> columns(m);
+      for (size_t j = 0; j < m; ++j) columns[j] = block.row_data(j);
+      Matrix naive_cov, kernel_cov;
+      linalg::Vector naive_means, kernel_means;
+      bench::Comparison comparison = bench::TimePair(
+          smoke.value() ? 10 : 100,
+          [&] {
+            bench::NaiveColumnarMoments moments(m);
+            for (size_t b = 0; b < kBlocksPerRep; ++b) {
+              moments.AccumulateColumns(columns.data(), rows);
+            }
+            naive_means = moments.means();
+            naive_cov = moments.FinalizeCovariance();
+          },
+          [&] {
+            stats::StreamingMoments moments(m, parallel);
+            for (size_t b = 0; b < kBlocksPerRep; ++b) {
+              moments.AccumulateColumns(columns.data(), rows);
+            }
+            kernel_means = moments.means();
+            kernel_cov = moments.FinalizeCovariance();
+          });
+      comparison.naive_seconds /= kBlocksPerRep;
+      comparison.kernel_seconds /= kBlocksPerRep;
+      comparison.max_abs_diff = linalg::MaxAbsDifference(naive_cov, kernel_cov);
+      for (size_t j = 0; j < m; ++j) {
+        comparison.max_abs_diff =
+            std::max(comparison.max_abs_diff,
+                     std::fabs(naive_means[j] - kernel_means[j]));
+      }
+      bench::Record(&results,
+                    threads == 1 ? "moments/columnar_1thread"
+                                 : "moments/columnar",
+                    std::to_string(rows) + "x" + std::to_string(m),
+                    static_cast<double>(rows), comparison);
     }
-    bench::Record(&results, "moments/columnar",
-                  std::to_string(rows) + "x" + std::to_string(m),
-                  static_cast<double>(rows), comparison);
   }
 
   // Small in-memory SampleCovariance calls, where per-call setup (the

@@ -194,6 +194,8 @@ size_t EffectiveThreadCount(const ParallelOptions& options, size_t items) {
   return threads < items ? (threads == 0 ? 1 : threads) : items;
 }
 
+bool InsideParallelTask() { return t_inside_pool_task; }
+
 void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t, size_t)>& body,
                  const ParallelOptions& options) {

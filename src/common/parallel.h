@@ -66,6 +66,10 @@ void ParallelForEach(size_t begin, size_t end,
                      const std::function<void(size_t)>& body,
                      const ParallelOptions& options = {});
 
+/// True while the calling thread runs a pool task: there nested parallel
+/// calls, StartParallelFor included, run inline on that thread.
+bool InsideParallelTask();
+
 namespace parallel_internal {
 struct PoolJob;
 }  // namespace parallel_internal

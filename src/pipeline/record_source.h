@@ -62,9 +62,12 @@ class ColumnarBlockStream {
 
   /// Fills `columns` (resized to m) with one pointer per attribute into
   /// the next block and returns its record count; 0 means exhausted.
-  /// Pointers stay valid until the owning source is destroyed. Fails
-  /// like the backing reader (e.g. a block checksum mismatch naming the
-  /// block).
+  /// Pointers stay valid until the owning source is destroyed: a
+  /// stats::StreamingMoments fed through AccumulateColumns keeps them
+  /// (its deferred block Grams read them on the pool) until its
+  /// FinalizeCovariance() or destruction, so the source must outlive
+  /// that. Fails like the backing reader (e.g. a block checksum mismatch
+  /// naming the block).
   virtual Result<size_t> NextBlockColumns(
       std::vector<const double*>* columns) = 0;
 };

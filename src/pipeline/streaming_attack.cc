@@ -162,9 +162,11 @@ Result<StreamingAttackReport> StreamingAttackPipeline::Run(
   m_attack_runs.Add(1);
   const uint64_t run_start_nanos = trace::NowNanos();
   stats::StreamingMoments moments(m, options_.parallel);
+  linalg::Matrix cov_y;
   {
     // Stage breakdowns (perfbench's stats.pass1_scatter_s) key pass 1
-    // on this span name.
+    // on this span name. It closes after FinalizeCovariance, which
+    // merges the blocks whose partials are still on the pool.
     trace::TraceSpan scatter_span("attack.pass1_scatter");
     ColumnarBlockStream* columnar = disguised->columnar_blocks();
     std::vector<const double*> block_columns;
@@ -188,15 +190,15 @@ Result<StreamingAttackReport> StreamingAttackPipeline::Run(
       m_chunks_pass1.Add(1);
       m_records_pass1.Add(rows);
     }
+    if (moments.num_records() < 2) {
+      return Status::InvalidArgument(
+          "StreamingAttackPipeline: need at least 2 records, saw " +
+          std::to_string(moments.num_records()));
+    }
+    cov_y = moments.FinalizeCovariance();
   }
   const size_t n = moments.num_records();
-  if (n < 2) {
-    return Status::InvalidArgument(
-        "StreamingAttackPipeline: need at least 2 records, saw " +
-        std::to_string(n));
-  }
   const linalg::Vector mean = moments.means();
-  const linalg::Matrix cov_y = moments.FinalizeCovariance();
 
   AttackBasis basis;
   {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -278,6 +279,186 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<size_t>(1, 2, 3, 7, 8, 9, 15, 16, 17,
                                                  24, 40, 64, 65, 100),
                        ::testing::Bool()));
+
+/// Records stored column by column, as a column store maps them: row j
+/// of the result is attribute j.
+Matrix ColumnarRecords(size_t n, size_t m, bool large_offsets, uint64_t seed) {
+  stats::Rng rng(seed);
+  Matrix columns = rng.GaussianMatrix(m, n);
+  if (large_offsets) {
+    for (size_t j = 0; j < m; ++j) {
+      double* column = columns.row_data(j);
+      for (size_t i = 0; i < n; ++i) {
+        column[i] += 1e6 * (1.0 + 0.25 * static_cast<double>(j));
+      }
+    }
+  }
+  return columns;
+}
+
+/// Feeds records [row, row + rows) of `columnar` to `columnar_moments`
+/// through AccumulateColumns and to `row_major` through Accumulate.
+void FeedBoth(const Matrix& columnar, size_t row, size_t rows,
+              StreamingMoments* columnar_moments, StreamingMoments* row_major) {
+  const size_t m = columnar.rows();
+  std::vector<const double*> columns(m);
+  std::vector<double> gathered(rows * m);
+  for (size_t j = 0; j < m; ++j) {
+    columns[j] = columnar.row_data(j) + row;
+    for (size_t i = 0; i < rows; ++i) gathered[i * m + j] = columns[j][i];
+  }
+  columnar_moments->AccumulateColumns(columns.data(), rows);
+  if (row_major != nullptr) row_major->Accumulate(gathered.data(), rows);
+}
+
+/// Deferred block Grams: on more than one thread, whole columnar blocks
+/// are folded on the caller and their partials reduced on the pool, a
+/// window of 2 x threads blocks at a time, then merged in block order.
+/// Means and covariance must stay memcmp-equal to the row-major form at
+/// every width class of the staging tiles and of the Gram kernel (m = 80
+/// takes the packed driver), with and without large offsets.
+class DeferredPartialsTest
+    : public ::testing::TestWithParam<std::tuple<size_t, bool>> {};
+
+TEST_P(DeferredPartialsTest, IsBitwiseTheRowMajorForm) {
+  const size_t m = std::get<0>(GetParam());
+  const bool large_offsets = std::get<1>(GetParam());
+  constexpr size_t kBlock = linalg::kernels::kGramChunkRows;
+  // 27 whole blocks and a ragged tail. Block 0 sets the shift; at 4
+  // threads blocks 1–8 and 9–16 fill two windows back to back, 17–18
+  // start a third, and block 19 arrives as a row-major span and a
+  // ragged columnar span in the middle of it (at 2 threads too). Blocks
+  // 20–26 fill the last window, which the tail's flush merges.
+  constexpr size_t kInterleavedBlock = 19;
+  const size_t n = 27 * kBlock + 1234;
+  const Matrix columnar = ColumnarRecords(n, m, large_offsets, 53 + m);
+
+  for (const int threads : {1, 2, 4}) {
+    ParallelOptions options;
+    options.num_threads = threads;
+    ParallelOptions serial;
+    serial.num_threads = 1;
+    StreamingMoments moments(m, options);
+    StreamingMoments row_major(m, serial);
+    size_t row = 0;
+    for (size_t block = 0; row < n; ++block) {
+      if (block == kInterleavedBlock) {
+        std::vector<double> gathered(1000 * m);
+        for (size_t i = 0; i < 1000; ++i) {
+          for (size_t j = 0; j < m; ++j) {
+            gathered[i * m + j] = columnar(j, row + i);
+          }
+        }
+        moments.Accumulate(gathered.data(), 1000);
+        row_major.Accumulate(gathered.data(), 1000);
+        FeedBoth(columnar, row + 1000, kBlock - 1000, &moments, &row_major);
+        row += kBlock;
+        continue;
+      }
+      const size_t rows = std::min(kBlock, n - row);
+      FeedBoth(columnar, row, rows, &moments, &row_major);
+      row += rows;
+      if (block == 2 * static_cast<size_t>(threads)) {
+        // The first window has just gone to the pool.
+        const linalg::Vector in_flight = moments.means();
+        const linalg::Vector expected = row_major.means();
+        EXPECT_EQ(std::memcmp(in_flight.data(), expected.data(),
+                              m * sizeof(double)),
+                  0)
+            << "means with a window in flight, threads=" << threads;
+      }
+    }
+    ASSERT_EQ(moments.num_records(), n);
+    const linalg::Vector means = moments.means();
+    const linalg::Vector expected_means = row_major.means();
+    const Matrix covariance = moments.FinalizeCovariance();
+    const Matrix expected = row_major.FinalizeCovariance();
+    EXPECT_EQ(std::memcmp(means.data(), expected_means.data(),
+                          m * sizeof(double)),
+              0)
+        << "means, threads=" << threads;
+    EXPECT_EQ(std::memcmp(covariance.data(), expected.data(),
+                          m * m * sizeof(double)),
+              0)
+        << "covariance, threads=" << threads;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, DeferredPartialsTest,
+    ::testing::Combine(::testing::Values<size_t>(3, 8, 16, 17, 64, 80),
+                       ::testing::Bool()));
+
+TEST(StreamingMomentsTest, DestructionJoinsTheWindowInFlight) {
+  // The wave reads the caller's column data and writes the accumulator's
+  // buffers. Destroying the accumulator right after a window launches
+  // must join it, so the data may be freed as soon as the destructor
+  // returns (sanitizer builds flag any access after that).
+  const size_t m = 16;
+  constexpr size_t kBlock = linalg::kernels::kGramChunkRows;
+  ParallelOptions options;
+  options.num_threads = 4;
+  const size_t blocks = 1 + 8;  // The first block, then one full window.
+  for (int round = 0; round < 4; ++round) {
+    auto columnar = std::make_unique<Matrix>(
+        ColumnarRecords(blocks * kBlock, m, /*large_offsets=*/false, 61));
+    {
+      StreamingMoments moments(m, options);
+      std::vector<const double*> columns(m);
+      for (size_t block = 0; block < blocks; ++block) {
+        for (size_t j = 0; j < m; ++j) {
+          columns[j] = columnar->row_data(j) + block * kBlock;
+        }
+        moments.AccumulateColumns(columns.data(), kBlock);
+      }
+      EXPECT_EQ(moments.num_records(), blocks * kBlock);
+    }
+    columnar.reset();
+  }
+}
+
+TEST(StreamingMomentsTest, MovesWithAWindowInFlightKeepTheBits) {
+  const size_t m = 17;
+  constexpr size_t kBlock = linalg::kernels::kGramChunkRows;
+  const size_t n = 20 * kBlock + 99;
+  const Matrix columnar = ColumnarRecords(n, m, /*large_offsets=*/true, 67);
+  ParallelOptions options;
+  options.num_threads = 4;
+  StreamingMoments row_major(m);
+  StreamingMoments moments(m, options);
+  size_t row = 0;
+  auto feed = [&](StreamingMoments* target, size_t blocks) {
+    for (size_t b = 0; b < blocks && row < n; ++b) {
+      const size_t rows = std::min(kBlock, n - row);
+      FeedBoth(columnar, row, rows, target, &row_major);
+      row += rows;
+    }
+  };
+  feed(&moments, 9);  // A window in flight.
+  StreamingMoments moved(std::move(moments));
+  feed(&moved, 8);  // Launches the next window, merging the moved one.
+  // A target with its own window in flight, replaced mid-wave.
+  StreamingMoments target(m, options);
+  std::vector<const double*> columns(m);
+  for (size_t block = 0; block < 9; ++block) {
+    for (size_t j = 0; j < m; ++j) {
+      columns[j] = columnar.row_data(j) + block * kBlock;
+    }
+    target.AccumulateColumns(columns.data(), kBlock);
+  }
+  target = std::move(moved);
+  feed(&target, 100);
+  ASSERT_EQ(target.num_records(), n);
+  const linalg::Vector means = target.means();
+  const linalg::Vector expected_means = row_major.means();
+  const Matrix covariance = target.FinalizeCovariance();
+  const Matrix expected = row_major.FinalizeCovariance();
+  EXPECT_EQ(
+      std::memcmp(means.data(), expected_means.data(), m * sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(covariance.data(), expected.data(),
+                        m * m * sizeof(double)),
+            0);
+}
 
 TEST(StreamingMomentsTest, CountsRecords) {
   stats::Rng rng(19);
